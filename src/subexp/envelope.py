@@ -223,7 +223,4 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
         values.append(_cell(row, v_idx, row_no, "value"))
         if t_idx is not None:
             stamps.append(_cell(row, t_idx, row_no, "timestamp"))
-    try:
-        return TimeSeries(tuple(values), tuple(stamps) if stamps is not None else None)
-    except DataError:
-        raise
+    return TimeSeries(tuple(values), tuple(stamps) if stamps is not None else None)

@@ -274,30 +274,21 @@ class SimReport:
             "generator": self.generator,
             "noise": self.noise,
             "policies": list(self.policies),
-            "rows": [
-                {
-                    "n": r.n,
-                    "policy_id": r.policy_id,
-                    "estimate": r.estimate,
-                    "target_or_bound": r.target_or_bound,
-                    "gap": r.gap,
-                    "stderr": r.stderr,
-                }
-                for r in self.rows
-            ],
-            "summary": [
-                {
-                    "n": r.n,
-                    "policy_id": r.policy_id,
-                    "estimate": r.estimate,
-                    "target_or_bound": r.target_or_bound,
-                    "gap": r.gap,
-                    "stderr": r.stderr,
-                }
-                for r in self.max_rows()
-            ],
+            "rows": [_row_dict(r) for r in self.rows],
+            "summary": [_row_dict(r) for r in self.max_rows()],
             "violations": len(self.violations()),
         }
+
+
+def _row_dict(r: SimRow) -> dict:
+    return {
+        "n": r.n,
+        "policy_id": r.policy_id,
+        "estimate": r.estimate,
+        "target_or_bound": r.target_or_bound,
+        "gap": r.gap,
+        "stderr": r.stderr,
+    }
 
 
 def _mean_and_stderr(vals: np.ndarray) -> tuple[float, float]:

@@ -6,7 +6,9 @@ on that interval.  Evaluation scans a uniform grid (endpoints always
 included) and reports a certified error bound lipschitz * h / 2 where h
 is the realised grid spacing; any point of the interval is within h/2 of
 a grid node, so the true maximum exceeds the grid maximum by at most that
-amount.
+amount.  With ``GridSpec(refine=True)`` a Lipschitz branch-and-bound
+(Piyavskii 1972; Shubert 1972) subdivides the grid cells that could still
+hold a larger value and reports the largest remaining cell bound instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily
 
@@ -31,8 +32,16 @@ __all__ = [
     "interval_distance",
 ]
 
-# x-tolerance of the local refinement stage (GridSpec.refine).
-_REFINE_XATOL = 1e-12
+# Refinement (GridSpec.refine) stops once every cell bound is within
+# lipschitz * _REFINE_XTOL of the incumbent, or before it would spend more
+# than _REFINE_MAX_EVALS function evaluations beyond the grid scan.
+_REFINE_XTOL = 1e-11
+_REFINE_MAX_EVALS = 1 << 21
+# Each round splits the live cells into k equal parts, k a power of two up to
+# _REFINE_MAX_SPLIT, as long as the round adds at most _REFINE_BATCH points:
+# a handful of live cells then converge in a few vectorised rounds.
+_REFINE_MAX_SPLIT = 16
+_REFINE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -81,9 +90,11 @@ class GridSpec:
     Exactly one of ``step`` (target spacing, the realised spacing never
     exceeds it) or ``num`` (explicit node count, useful when two
     computations must share bit-identical grids) must be given.  With
-    ``refine=True`` a derivative-free local polish (bounded Brent) runs
-    around the grid argmax, shrinking the error certificate to machine
-    scale when the surrounding bracket is unimodal.
+    ``refine=True`` the grid scan is followed by a Lipschitz
+    branch-and-bound over the grid cells: the certificate becomes the
+    largest cell upper bound minus the value found, which never exceeds
+    the plain ``lipschitz * h / 2`` and is at most ``lipschitz * 1e-11``
+    unless the evaluation cap or float resolution stops the search first.
     """
 
     step: float | None = None
@@ -146,39 +157,80 @@ def apply_elementwise(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
     return np.array(vals).reshape(arrays[0].shape)
 
 
+def _finite_values(f: Callable, pts: np.ndarray) -> np.ndarray:
+    vals = apply_elementwise(f, pts)
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise ValueError(f"test function returned non-finite value at point {pts.flat[bad]!r}")
+    return vals
+
+
+def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: float, argmax: float):
+    """Lipschitz branch-and-bound over the cells between consecutive nodes.
+
+    On a cell [a, b] an L-Lipschitz f is at most (f(a) + f(b))/2 + L(b - a)/2.
+    Cells whose bound exceeds the incumbent by more than the tolerance are
+    split into equal parts, all new points are evaluated in one call, and
+    the incumbent is updated (ties keep the smallest x).  Returns the
+    incumbent and the largest bound over all cells, pruned or still live,
+    so the shortfall certificate holds even when the evaluation cap stops
+    the search early.
+    """
+    lip = f.lipschitz
+    tol = lip * _REFINE_XTOL
+    a, b, fa, fb = pts[:-1], pts[1:], vals[:-1], vals[1:]
+    pruned_ub = -math.inf
+    evals = 0
+    while True:
+        w = b - a
+        ub = 0.5 * (fa + fb) + 0.5 * lip * w
+        mid = a + 0.5 * w
+        # a cell whose midpoint is not representable cannot be split further
+        live = (ub > value + tol) & (a < mid) & (mid < b)
+        pruned_ub = max(pruned_ub, float(ub[~live].max(initial=-math.inf)))
+        n = int(np.count_nonzero(live))
+        if n == 0 or evals + n > _REFINE_MAX_EVALS:
+            return value, argmax, max(pruned_ub, float(ub[live].max(initial=-math.inf)))
+        a, b, fa, fb, w = a[live], b[live], fa[live], fb[live], w[live]
+        k = 2
+        while k < _REFINE_MAX_SPLIT and 2 * k * n <= _REFINE_BATCH:
+            if evals + (2 * k - 1) * n > _REFINE_MAX_EVALS:
+                break
+            k *= 2
+        # j / k is exact for a power of two k, so the middle point is mid itself
+        frac = np.arange(1, k) / k
+        x = np.minimum(a[:, None] + w[:, None] * frac, b[:, None])
+        fx = _finite_values(f, x)
+        evals += x.size
+        j = int(np.argmax(fx))  # cells stay sorted by x, so the first maximum has the smallest x
+        v, xj = float(fx.flat[j]), float(x.flat[j])
+        if v > value or (v == value and xj < argmax):
+            value, argmax = v, xj
+        xs = np.concatenate((a[:, None], x, b[:, None]), axis=1)
+        fs = np.concatenate((fa[:, None], fx, fb[:, None]), axis=1)
+        a, b = xs[:, :-1].ravel(), xs[:, 1:].ravel()
+        fa, fb = fs[:, :-1].ravel(), fs[:, 1:].ravel()
+
+
 def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridMax:
     """Maximum of f over the mean interval, with argmax and error certificate.
 
     The reported value is f at an actual point of the interval, so it
     never exceeds the true maximum; the certificate bounds the shortfall.
-    Ties in the grid scan resolve to the smallest x.
+    Ties resolve to the smallest x.
     """
     if d.degenerate:
         return GridMax(float(f(d.mu_lo)), d.mu_lo, 0.0)
     pts = grid.points(d)
-    vals = apply_elementwise(f, pts)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"test function returned non-finite value at grid point {pts[bad]!r}")
+    vals = _finite_values(f, pts)
     i = int(np.argmax(vals))
     value = float(vals[i])
     argmax = float(pts[i])
     h = d.width / (len(pts) - 1)
     err = f.lipschitz * h / 2.0
     if grid.refine:
-        lo = float(pts[max(i - 1, 0)])
-        hi = float(pts[min(i + 1, len(pts) - 1)])
-        res = minimize_scalar(
-            lambda x: -float(f(x)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": _REFINE_XATOL},
-        )
-        x_ref = float(np.clip(res.x, lo, hi))
-        v_ref = float(f(x_ref))
-        if v_ref > value or (v_ref == value and x_ref < argmax):
-            value, argmax = v_ref, x_ref
-        err = min(err, f.lipschitz * _REFINE_XATOL)
+        value, argmax, ub = _refine(f, pts, vals, value, argmax)
+        err = max(0.0, min(err, ub - value))
     return GridMax(value, argmax, err)
 
 

@@ -3,6 +3,9 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +146,18 @@ class TestEval:
             ["eval", "--mu-lo", "0", "--mu-hi", "1", "--fn", "identity", "--step", "0.1", "--points", "5"],
         )
         assert code == 2
+
+    def test_refine_matches_library(self, capsys):
+        code, obj, _ = run_json(
+            capsys,
+            ["eval", "--mu-lo", "-1", "--mu-hi", "2", "--fn", "square", "--points", "7", "--refine"],
+        )
+        assert code == 0
+        want = eval_maximal(MaximalDist(-1.0, 2.0), cli.build_fn("square", 2.0), GridSpec(num=7, refine=True))
+        assert obj["result"]["error_bound"] == want.error_bound
+        assert obj["result"]["value"] == want.value == 4.0
+        assert obj["result"]["argmax"] == want.argmax == 2.0
+        assert 0.0 <= want.error_bound <= 4.0 * 0.5 / 2
 
     def test_unknown_fn(self, capsys):
         code, _, err = run_text(
@@ -513,3 +528,13 @@ class TestConfigFile:
         code, obj, _ = run_json(capsys, ["estimate", "--config", str(cfg)])
         assert code == 0
         assert obj["result"]["mu_lo_hat"] == 4.0
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # importing scipy.optimize once cost most of every CLI call's start-up
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import subexp.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subexp import maximal
 from subexp.maximal import (
     GridSpec,
     MaximalDist,
@@ -151,6 +152,99 @@ class TestEvalMaximal:
         refined = eval_maximal(d, IDENT, GridSpec(num=4, refine=True))
         assert refined.value >= plain.value
         assert refined.value == 1.0
+
+
+def tents(lo, hi, lip, peaks):
+    """max of tents h - s*|x - c| (s <= lip) and its exact maximum on [lo, hi]."""
+
+    def f(x):
+        return np.max([h - s * np.abs(x - c) for c, h, s in peaks], axis=0)
+
+    true_max = max(h - s * max(lo - c, c - hi, 0.0) for c, h, s in peaks)
+    return BoundedLipschitzFn(f, lip), true_max
+
+
+class TestRefineSoundness:
+    @pytest.mark.parametrize(
+        "fn, true_max",
+        [
+            # a spike between grid nodes, where the grid sees only zeros
+            (lambda x: max(0.0, 1 - 40 * abs(x - 0.5)), 1.0),
+            # the same spike off the dyadic points, next to a grid maximum of 0.5
+            (lambda x: max(0.5 - 0.1 * abs(x - 2.0), 1 - 40 * abs(x - 0.3)), 1.0),
+        ],
+        ids=["spike_on_zero_grid", "spike_next_to_grid_max"],
+    )
+    def test_spike_between_nodes_is_found_or_certified(self, fn, true_max):
+        f = BoundedLipschitzFn(fn, 40.0)
+        res = eval_maximal(MaximalDist(0.0, 3.0), f, GridSpec(num=4, refine=True))
+        assert res.value >= true_max - res.error_bound
+        assert res.value <= true_max
+        assert res.error_bound <= 40.0 * 1e-11
+
+    @given(
+        lo=st.floats(min_value=-5, max_value=5),
+        width=st.floats(min_value=0.01, max_value=5),
+        num=st.integers(min_value=2, max_value=40),
+        lip=st.floats(min_value=0.1, max_value=50),
+        raw=st.lists(
+            st.tuples(
+                st.floats(min_value=-0.5, max_value=1.5),
+                st.floats(min_value=-2, max_value=2),
+                st.floats(min_value=0.5, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_lipschitz_functions(self, lo, width, num, lip, raw):
+        hi = lo + width
+        d = MaximalDist(lo, hi)
+        f, true_max = tents(d.mu_lo, d.mu_hi, lip, [(lo + u * width, h, s * lip) for u, h, s in raw])
+        plain = eval_maximal(d, f, GridSpec(num=num))
+        refined = eval_maximal(d, f, GridSpec(num=num, refine=True))
+        slack = 1e-12 * (1.0 + lip * (abs(d.mu_lo) + abs(d.mu_hi)))
+        assert 0.0 <= refined.error_bound <= plain.error_bound
+        assert refined.value >= plain.value
+        assert true_max - slack <= refined.value + refined.error_bound
+        assert refined.value <= true_max + slack
+        assert d.contains(refined.argmax)
+
+    def test_refine_keeps_smallest_argmax_on_ties(self):
+        res = eval_maximal(MaximalDist(-1.0, 1.0), SQUARE, GridSpec(num=5, refine=True))
+        assert (res.value, res.argmax) == (1.0, -1.0)
+
+    def test_evaluation_cap_stops_with_honest_certificate(self):
+        # a flat-topped declared constant of 400 needs far more cells than the cap allows
+        calls = []
+
+        def neg_square(x):
+            calls.append(np.size(x))
+            return -x * x
+
+        d = MaximalDist(-1.0, 2.0)
+        f = BoundedLipschitzFn(neg_square, 400.0)
+        res = eval_maximal(d, f, GridSpec(step=0.25, refine=True))
+        assert sum(calls) - 13 <= maximal._REFINE_MAX_EVALS
+        assert res.value <= 0.0 <= res.value + res.error_bound
+        assert 400.0 * 1e-11 < res.error_bound <= 400.0 * 0.25 / 2
+
+    def test_scalar_only_function_under_the_cap(self, monkeypatch):
+        monkeypatch.setattr(maximal, "_REFINE_MAX_EVALS", 2000)
+        calls = []
+
+        def neg_square(x):
+            calls.append(x)
+            return -float(x) ** 2  # float() of an array raises: scalar loop
+
+        d = MaximalDist(-1.0, 2.0)
+        f = BoundedLipschitzFn(neg_square, 400.0)
+        res = eval_maximal(d, f, GridSpec(step=0.25, refine=True))
+        scalar_calls = [x for x in calls if np.ndim(x) == 0]
+        assert 13 < len(scalar_calls) <= 13 + 2000
+        assert res.value <= 0.0 <= res.value + res.error_bound
+        assert 400.0 * 1e-11 < res.error_bound <= 400.0 * 0.25 / 2
 
 
 class TestDiracFamily:
