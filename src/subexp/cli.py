@@ -25,7 +25,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -81,18 +80,18 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
         raise CliError(EXIT_VALIDATION, f"bad numeric arguments in function spec {spec!r}")
     R = float(radius)
     if name == "identity":
-        return BoundedLipschitzFn(lambda x: float(x), 1.0, bound=R, name=spec)
+        return BoundedLipschitzFn(lambda x: x, 1.0, bound=R, name=spec)
     if name == "square":
-        return BoundedLipschitzFn(lambda x: float(x) * float(x), 2.0 * R, bound=R * R, name=spec)
+        return BoundedLipschitzFn(lambda x: x * x, 2.0 * R, bound=R * R, name=spec)
     if name == "abs":
         c = args[0] if args else 0.0
-        return BoundedLipschitzFn(lambda x: abs(float(x) - c), 1.0, bound=R + abs(c), name=spec)
+        return BoundedLipschitzFn(lambda x: abs(x - c), 1.0, bound=R + abs(c), name=spec)
     if name == "sin":
         w = args[0] if args else 1.0
-        return BoundedLipschitzFn(lambda x: math.sin(w * float(x)), abs(w), bound=1.0, name=spec)
+        return BoundedLipschitzFn(lambda x: np.sin(w * x), abs(w), bound=1.0, name=spec)
     if name == "cos":
         w = args[0] if args else 1.0
-        return BoundedLipschitzFn(lambda x: math.cos(w * float(x)), abs(w), bound=1.0, name=spec)
+        return BoundedLipschitzFn(lambda x: np.cos(w * x), abs(w), bound=1.0, name=spec)
     if name == "poly":
         if not args:
             raise CliError(EXIT_VALIDATION, "poly needs coefficients, e.g. poly:0,0,-1")
@@ -101,7 +100,6 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
         bnd = sum(abs(c) * R**k for k, c in enumerate(coeffs))
 
         def p(x, coeffs=tuple(coeffs)):
-            x = float(x)
             acc = 0.0
             for c in reversed(coeffs):
                 acc = acc * x + c
@@ -457,8 +455,8 @@ def _default_rate_policies(d: MaximalDist) -> list[MeanPolicy]:
     seen = set()
     out = []
     for p in policies:
-        if p.policy_id not in seen:
-            seen.add(p.policy_id)
+        if p.label not in seen:
+            seen.add(p.label)
             out.append(p)
     return out
 

@@ -9,6 +9,8 @@ observable.
 Grid error accumulates additively: the partial maximum over one variable
 of a Lipschitz function is Lipschitz in the remaining variables with the
 same constant, so each maximal marginal contributes lipschitz * h_i / 2.
+Family marginals add nothing: the exact kernel of ``scenarios`` averages
+them, so a family-only composition equals ``sublinear_expect`` bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .maximal import GridSpec, MaximalDist, apply_elementwise, interval_distance
-from .scenarios import BoundedLipschitzFn, ScenarioFamily
+from .scenarios import BoundedLipschitzFn, EvaluationError, ScenarioFamily, _expectations
 
 __all__ = [
     "Marginal",
@@ -84,54 +86,43 @@ class ComposeResult(NamedTuple):
     error_bound: float
 
 
-def _family_reducer(fam: ScenarioFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support points plus a per-measure weight matrix over that support."""
-    support = list(fam.support())
-    index = {p: k for k, p in enumerate(support)}
-    W = np.zeros((len(fam.measures), len(support)))
-    for mi, m in enumerate(fam.measures):
-        for p, w in m.atoms:
-            W[mi, index[p]] += w
-    row_mass = W.sum(axis=1)
-    return np.asarray(support, dtype=float), W, row_mass
-
-
 def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) -> ComposeResult:
     """Worst-case expectation of f under the sequentially independent joint law.
 
     Maximal marginals are scanned on ``grid``; family marginals are exact
-    finite suprema.  The reported bound is the sum of the per-marginal
-    grid certificates.
+    finite suprema, with f evaluated once per distinct atom point, and a
+    non-finite value reaching one raises EvaluationError.  The reported
+    bound is the sum of the per-marginal grid certificates.
     """
     if f.arity != len(j.marginals):
         raise ValueError(f"function arity {f.arity} does not match {len(j.marginals)} marginals")
 
     axes: list[np.ndarray] = []
-    reducers: list = []
+    atom_cols: list[np.ndarray | None] = []  # per family: each atom's position on its axis
     err = 0.0
     for m in j.marginals:
         if isinstance(m, MaximalDist):
-            pts = grid.points(m)
-            axes.append(pts)
-            reducers.append(("max", None))
+            axes.append(grid.points(m))
+            atom_cols.append(None)
             err += f.lipschitz * grid.spacing(m) / 2.0
         else:
-            pts, W, mass = _family_reducer(m)
-            axes.append(pts)
-            reducers.append(("family", (W, mass)))
+            axes.append(np.asarray(m.support(), dtype=float))
+            atom_cols.append(np.searchsorted(axes[-1], [p for meas in m.measures for p, _ in meas.atoms]))
 
     mesh = np.meshgrid(*axes, indexing="ij")
     vals = apply_elementwise(f.fn, *mesh)
 
     # Innermost expectation is over the last marginal, so reduce from the
     # trailing axis inward.
-    for kind, payload in reversed(reducers):
-        if kind == "max":
+    for i in reversed(range(len(axes))):
+        cols = atom_cols[i]
+        if cols is None:
             vals = vals.max(axis=-1)
-        else:
-            W, mass = payload
-            per_measure = np.tensordot(vals, W, axes=([-1], [1])) / mass
-            vals = per_measure.max(axis=-1)
+            continue
+        bad = np.argwhere(~np.isfinite(vals))
+        if bad.size:
+            raise EvaluationError(f"non-finite value on family marginal {i} at point {float(axes[i][bad[0][-1]])!r}")
+        vals = _expectations(j.marginals[i], vals[..., cols]).max(axis=-1)
     return ComposeResult(float(vals), err)
 
 

@@ -133,10 +133,6 @@ class MeanPolicy:
     def adversarial(cls, fn: Callable[[float], float], name: str = "callback") -> "MeanPolicy":
         return cls("adversarial", (), fn, f"adversarial({name})")
 
-    @property
-    def policy_id(self) -> str:
-        return self.label
-
     def mean_vector(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """The full mean sequence for non-adversarial kinds."""
         if self.kind == "constant":
@@ -167,7 +163,7 @@ def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
     if bad.size:
         i = int(bad[0])
         raise SimulationError(
-            f"policy {policy.policy_id} produced mean {float(mus[i])!r} at step {i}, "
+            f"policy {policy.label} produced mean {float(mus[i])!r} at step {i}, "
             f"outside [{d.mu_lo}, {d.mu_hi}]"
         )
 
@@ -184,7 +180,7 @@ def _simulate_one(
             mu = float(policy.callback(running))
             if not (d.mu_lo <= mu <= d.mu_hi):
                 raise SimulationError(
-                    f"policy {policy.policy_id} produced mean {mu!r} at step {i}, "
+                    f"policy {policy.label} produced mean {mu!r} at step {i}, "
                     f"outside [{d.mu_lo}, {d.mu_hi}]"
                 )
             x[i] = mu + eps[i]
@@ -350,13 +346,13 @@ def empirical_lln(
     for pol in policies:
         stats = _prefix_stats(d, pol, noise, cfg, schedule, transform)
         for n, (est, se) in zip(schedule, stats):
-            rows.append(SimRow(n, pol.policy_id, est, target, est - target, se))
+            rows.append(SimRow(n, pol.label, est, target, est - target, se))
     return SimReport(
         kind="lln",
         rows=tuple(rows),
         seed=cfg.seed,
         noise=noise.label,
-        policies=tuple(p.policy_id for p in policies),
+        policies=tuple(p.label for p in policies),
     )
 
 
@@ -396,11 +392,11 @@ def rate_check(
         stats = _prefix_stats(d, pol, noise, cfg, schedule, transform)
         for n, (est, se) in zip(schedule, stats):
             bound = m2 / n
-            rows.append(SimRow(n, pol.policy_id, est, bound, est - bound, se))
+            rows.append(SimRow(n, pol.label, est, bound, est - bound, se))
     return SimReport(
         kind="rate",
         rows=tuple(rows),
         seed=cfg.seed,
         noise=noise.label,
-        policies=tuple(p.policy_id for p in policies),
+        policies=tuple(p.label for p in policies),
     )

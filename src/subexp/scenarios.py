@@ -6,19 +6,21 @@ function is the largest classical expectation across the family, and the
 upper capacity of an event is the largest probability any member assigns
 to it.
 
-Expectations are accumulated in exact rational arithmetic (weights and
-function values are dyadic rationals, so sums and the final normalisation
-are exact) and rounded to float once at the end.  Because rounding is
-monotone, the returned floats satisfy monotonicity and constant
-preservation exactly, not merely up to tolerance.
+One exact integer kernel computes every expectation: weights and function
+values are dyadic rationals, so they are summed exactly as integers over a
+common power of two and each mean is rounded to float once.  Rounding is
+monotone, so monotonicity and constant preservation hold exactly, not merely
+up to tolerance, in :func:`expect_linear`, :func:`sublinear_expect`,
+:func:`capacity` and the family marginals of ``joint.compose_independent``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "WEIGHT_TOL",
@@ -133,10 +135,10 @@ class DiscreteMeasure:
 
     def merged_atoms(self) -> tuple[tuple[float, float], ...]:
         """Atoms with duplicate points merged (weights added), sorted by point."""
-        acc: dict[float, Fraction] = {}
+        acc: dict[float, list[float]] = {}
         for p, w in self.atoms:
-            acc[p] = acc.get(p, Fraction(0)) + Fraction(w)
-        return tuple((p, float(acc[p])) for p in sorted(acc))
+            acc.setdefault(p, []).append(w)
+        return tuple((p, math.fsum(acc[p])) for p in sorted(acc))
 
     def support(self) -> tuple[float, ...]:
         return tuple(sorted({p for p, _ in self.atoms}))
@@ -159,6 +161,11 @@ class ScenarioFamily:
     """A nonempty, finite set of scenario measures."""
 
     measures: tuple[DiscreteMeasure, ...]
+    # Derived for the exact kernel: member starts in the flat atom order, the
+    # weights as integers over one shared power of two, and their member sums.
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.measures:
@@ -167,6 +174,11 @@ class ScenarioFamily:
             if not isinstance(m, DiscreteMeasure):
                 raise TypeError(f"family entry {i} must be a DiscreteMeasure, got {type(m).__name__}")
         object.__setattr__(self, "measures", tuple(self.measures))
+        starts = np.cumsum([0] + [len(m.atoms) for m in self.measures[:-1]])
+        weights, _ = _dyadic(np.array([w for m in self.measures for _, w in m.atoms]))
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_masses", np.add.reduceat(weights, starts))
 
     def __len__(self) -> int:
         return len(self.measures)
@@ -188,26 +200,44 @@ class ScenarioFamily:
         return cls(tuple(DiscreteMeasure.from_dict(m) for m in obj))
 
 
-def _expect_exact(measure: DiscreteMeasure, f: Callable[[float], float]) -> Fraction:
-    """Exact rational expectation of f under one measure.
+def _dyadic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Python integers n and exponents e with x == n * 2**e exactly, one e
+    shared along the last axis.  x must be finite."""
+    frac, exp = np.frexp(x)
+    low = exp.min(axis=-1, keepdims=True)
+    n = np.left_shift((frac * 2.0**53).astype(np.int64).astype(object), exp - low)
+    return n, low - 53
 
-    The measure's total mass may differ from 1 by up to WEIGHT_TOL, so the
-    sum is normalised by the exact mass.  This keeps the expectation of a
-    constant exactly equal to that constant.
+
+def _expectations(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
+    """Every member's expectation of finite ``values``, exact and rounded once.
+
+    The last axis of ``values`` runs over the family's atoms, member after
+    member; in the result it runs over the members.  An expectation is
+    sum(W V) * 2**e / sum(W) with integer weights W and values V; dividing
+    by the exact mass keeps E[c] == c, and one correctly rounded integer true
+    division gives the float.
     """
-    num = Fraction(0)
-    den = Fraction(0)
-    for i, (p, w) in enumerate(measure.atoms):
-        try:
-            v = float(f(p))
-        except Exception as exc:
-            raise EvaluationError(f"test function failed at atom {i} (point {p!r}): {exc}") from exc
-        if not math.isfinite(v):
-            raise EvaluationError(f"test function returned non-finite value {v!r} at atom {i} (point {p!r})")
-        wf = Fraction(w)
-        num += wf * Fraction(v)
-        den += wf
-    return num / den
+    ints, e = _dyadic(values)
+    num = np.add.reduceat(ints * family._weights, family._starts, axis=-1)
+    num = np.left_shift(num, np.maximum(e, 0))
+    den = np.left_shift(family._masses, np.maximum(-e, 0))
+    return (num / den).astype(float)
+
+
+def _atom_values(family: ScenarioFamily, f: Callable[[float], float]) -> np.ndarray:
+    """f at every atom of the family, member after member, checked finite."""
+    vals = []
+    for m in family.measures:
+        for i, (p, _) in enumerate(m.atoms):
+            try:
+                v = float(f(p))
+            except Exception as exc:
+                raise EvaluationError(f"test function failed at atom {i} (point {p!r}): {exc}") from exc
+            if not math.isfinite(v):
+                raise EvaluationError(f"test function returned non-finite value {v!r} at atom {i} (point {p!r})")
+            vals.append(v)
+    return np.array(vals)
 
 
 def expect_linear(measure: DiscreteMeasure, f: Callable[[float], float] | BoundedLipschitzFn) -> float:
@@ -219,7 +249,8 @@ def expect_linear(measure: DiscreteMeasure, f: Callable[[float], float] | Bounde
         If ``f`` evaluates to a non-finite value at some atom; the message
         identifies the offending atom.
     """
-    return float(_expect_exact(measure, f))
+    family = ScenarioFamily((measure,))
+    return float(_expectations(family, _atom_values(family, f))[0])
 
 
 class SublinearResult(NamedTuple):
@@ -231,17 +262,11 @@ def sublinear_expect(family: ScenarioFamily, f: Callable[[float], float] | Bound
     """Upper expectation: the largest expectation of ``f`` across the family.
 
     Returns the value together with the index of the attaining measure.
-    Ties go to the lowest index (left-to-right scan).
+    Ties go to the lowest index.
     """
-    best_val: float | None = None
-    best_idx = 0
-    for i, m in enumerate(family.measures):
-        v = float(_expect_exact(m, f))
-        if best_val is None or v > best_val:
-            best_val = v
-            best_idx = i
-    assert best_val is not None
-    return SublinearResult(best_val, best_idx)
+    means = _expectations(family, _atom_values(family, f))
+    i = int(np.argmax(means))
+    return SublinearResult(float(means[i]), i)
 
 
 def capacity(family: ScenarioFamily, event: Callable[[float], bool]) -> float:
@@ -250,16 +275,5 @@ def capacity(family: ScenarioFamily, event: Callable[[float], bool]) -> float:
     ``event`` must be decidable (return a truth value) on every atom point
     of every member; predicate failures propagate.
     """
-    best = 0.0
-    for m in family.measures:
-        num = Fraction(0)
-        den = Fraction(0)
-        for p, w in m.atoms:
-            wf = Fraction(w)
-            den += wf
-            if event(p):
-                num += wf
-        v = float(num / den)
-        if v > best:
-            best = v
-    return best
+    hits = np.array([1.0 if event(p) else 0.0 for m in family.measures for p, _ in m.atoms])
+    return float(_expectations(family, hits).max())

@@ -181,6 +181,18 @@ class TestBuildFn:
         assert cli.build_fn("poly:1,0,2", 2.0)(3.0) == 1 + 2 * 9
         assert cli.build_fn("indicator:0,5", 2.0)(1.0) == 1.0 / 6.0
 
+    @pytest.mark.parametrize(
+        "spec", ["identity", "square", "abs:0.5", "sin:3", "cos:-2", "poly:1,-2,0.5,3", "indicator:0.5,4"]
+    )
+    def test_array_call_matches_scalar_calls(self, spec):
+        # an array in, an array of the same shape out: the grid evaluators
+        # then never fall back to a per-point loop
+        f = cli.build_fn(spec, 2.0)
+        xs = np.linspace(-2.0, 2.0, 41).reshape(1, 41)
+        out = f(xs)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        assert out.ravel().tolist() == [float(f(float(x))) for x in xs.ravel()]
+
     def test_poly_lipschitz_covers_interval(self):
         f = cli.build_fn("poly:0,1,-2", 3.0)
         xs = np.linspace(-3, 3, 200)
@@ -535,6 +547,10 @@ class TestImportCost:
         # importing scipy.optimize once cost most of every CLI call's start-up
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        probe = "import subexp.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # the exact expectation kernel needs no fractions module either
+        probe = (
+            "import subexp.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions')))"
+        )
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -14,10 +14,12 @@ from subexp.joint import (
     indicator_approx,
     point_capacity,
 )
+from subexp.axioms import random_family, random_fn
 from subexp.maximal import GridSpec, MaximalDist, eval_maximal
 from subexp.scenarios import (
     BoundedLipschitzFn,
     DiscreteMeasure,
+    EvaluationError,
     ScenarioFamily,
     sublinear_expect,
 )
@@ -151,6 +153,42 @@ class TestComposeIndependent:
             lhs = compose_independent(JointSpec((famA, famB)), f, g).value
             rhs = sublinear_expect(famA, f1).value * sublinear_expect(famB, f2).value
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestExactFamilyMarginals:
+    def test_family_only_equals_sublinear_expect(self):
+        rng = np.random.default_rng(61)
+        g = GridSpec(num=3)
+        for _ in range(300):
+            fam = random_family(rng)
+            f = random_fn(rng)
+            res = compose_independent(JointSpec((fam,)), BoundedLipschitzFnN(f.fn, 1, f.lipschitz), g)
+            assert res.value == sublinear_expect(fam, f).value
+            assert res.error_bound == 0.0
+
+    @pytest.mark.parametrize("c", [3.0, 1e300, 5e-324, -7.25])
+    def test_constant_is_preserved(self, c):
+        rng = np.random.default_rng(62)
+        f = BoundedLipschitzFnN(lambda x, y, z: c, 3, 0.0)
+        for _ in range(40):
+            j = JointSpec((random_family(rng), MaximalDist(-1.0, 1.0), random_family(rng)))
+            assert compose_independent(j, f, GridSpec(num=3)).value == c
+
+    def test_mixed_marginals_equal_nested_oracle(self):
+        rng = np.random.default_rng(63)
+        g = GridSpec(num=5)
+        for _ in range(30):
+            j = JointSpec((random_family(rng), MaximalDist(-1.0, float(rng.uniform(-0.5, 1.5))), random_family(rng)))
+            w = float(rng.uniform(-2, 2))
+            f = BoundedLipschitzFnN(lambda x, y, z, w=w: math.sin(w * x) + x * y - z * abs(z), 3, 50.0)
+            assert compose_independent(j, f, g).value == nested_oracle(j.marginals, f.fn, g)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_on_family_axis_raises(self, bad):
+        fam = ScenarioFamily((DiscreteMeasure.uniform([0.0, 1.0]), DiscreteMeasure.dirac(0.5)))
+        f = BoundedLipschitzFnN(lambda x, y: np.where(x == 1.0, bad, x + y), 2, 1.0)
+        with pytest.raises(EvaluationError, match="family marginal 0 at point 1.0"):
+            compose_independent(JointSpec((fam, MaximalDist(0.0, 1.0))), f, GridSpec(num=5))
 
 
 class TestAsymmetryProbe:

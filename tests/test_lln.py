@@ -74,10 +74,10 @@ class TestMeanPolicy:
             pol.mean_vector(3, rng)
 
     def test_policy_ids(self):
-        assert MeanPolicy.constant(1.0).policy_id == "constant(1)"
-        assert MeanPolicy.periodic([-1, 1]).policy_id == "periodic(-1,1)"
-        assert MeanPolicy.random_choice([0, 1]).policy_id == "random(0,1)"
-        assert MeanPolicy.adversarial(lambda a: 0.0, "push_up").policy_id == "adversarial(push_up)"
+        assert MeanPolicy.constant(1.0).label == "constant(1)"
+        assert MeanPolicy.periodic([-1, 1]).label == "periodic(-1,1)"
+        assert MeanPolicy.random_choice([0, 1]).label == "random(0,1)"
+        assert MeanPolicy.adversarial(lambda a: 0.0, "push_up").label == "adversarial(push_up)"
 
 
 class TestSimulatePath:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from subexp.scenarios import (
     DiscreteMeasure,
     EvaluationError,
     ScenarioFamily,
+    _expectations,
     capacity,
     expect_linear,
     sublinear_expect,
@@ -176,6 +178,36 @@ class TestCapacity:
             assert approx >= cap - 1e-15
             prev = approx
         assert abs(prev - cap) <= 1.0 / (1.0 + 1_000_000 * gap)
+
+
+class TestExactKernel:
+    @staticmethod
+    def fraction_mean(measure, values):
+        num = sum((Fraction(w) * Fraction(v) for (_, w), v in zip(measure.atoms, values)), Fraction(0))
+        return float(num / sum((Fraction(w) for _, w in measure.atoms), Fraction(0)))
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, n: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n),
+            lambda rng, n: rng.choice([5e-324, -5e-324, 1e-310, 2.2e-308, 0.0, -0.0, 1.0], n),
+            lambda rng, n: np.full(n, rng.uniform(-1e6, 1e6)),
+            lambda rng, n: rng.choice([1.7e308, -1.7e308, 1e300, 3.0], n),
+        ],
+        ids=["wide", "subnormal", "constant", "huge"],
+    )
+    def test_matches_fraction_reference(self, draw):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            fam = random_family(rng)
+            n = sum(len(m.atoms) for m in fam.measures)
+            rows = np.array([draw(rng, n) for _ in range(3)])  # leading axes as on the joint path
+            got = _expectations(fam, rows)
+            assert got.shape == (3, len(fam))
+            starts = np.cumsum([0] + [len(m.atoms) for m in fam.measures])
+            for row, means in zip(rows, got):
+                want = [self.fraction_mean(m, row[a:b]) for m, a, b in zip(fam.measures, starts, starts[1:])]
+                assert means.tolist() == want
 
 
 class TestAxioms:
