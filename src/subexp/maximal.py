@@ -42,6 +42,8 @@ _REFINE_MAX_EVALS = 1 << 21
 # a handful of live cells then converge in a few vectorised rounds.
 _REFINE_MAX_SPLIT = 16
 _REFINE_BATCH = 256
+# GridSpec rejects a grid with more nodes than this before allocating it.
+_MAX_GRID_NODES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,8 @@ class GridSpec:
     largest cell upper bound minus the value found, which never exceeds
     the plain ``lipschitz * h / 2`` and is at most ``lipschitz * 1e-11``
     unless the evaluation cap or float resolution stops the search first.
+    A grid of more than ``_MAX_GRID_NODES`` (2**24) nodes raises ValueError
+    in ``nodes``, ``points`` and ``spacing`` before anything is allocated.
     """
 
     step: float | None = None
@@ -109,23 +113,38 @@ class GridSpec:
         if self.num is not None and self.num < 1:
             raise ValueError(f"num must be >= 1, got {self.num!r}")
 
+    def nodes(self, d: MaximalDist) -> int:
+        """Node count of the grid over d's interval, checked against
+        ``_MAX_GRID_NODES`` before anything is allocated."""
+        if d.degenerate:
+            return 1
+        if self.num is not None:
+            if self.num < 2:
+                raise ValueError("num must be >= 2 on a nondegenerate interval")
+            n = self.num
+        else:
+            n = d.width / self.step  # may be huge or inf; counted exactly below 2**53
+            if n < 2**53:
+                n = math.ceil(n) + 1
+        if n > _MAX_GRID_NODES:
+            count = n if isinstance(n, int) else f"{n:.3g}"
+            raise ValueError(
+                f"grid over [{d.mu_lo!r}, {d.mu_hi!r}] needs {count} nodes, over the limit of "
+                f"{_MAX_GRID_NODES}; use a larger step or fewer nodes (--step/--points)"
+            )
+        return n
+
     def points(self, d: MaximalDist) -> np.ndarray:
         """Grid nodes over d's interval, endpoints included."""
         if d.degenerate:
             return np.array([d.mu_lo])
-        if self.num is not None:
-            if self.num < 2:
-                raise ValueError("num must be >= 2 on a nondegenerate interval")
-            return np.linspace(d.mu_lo, d.mu_hi, self.num)
-        n = int(math.ceil(d.width / self.step)) + 1
-        return np.linspace(d.mu_lo, d.mu_hi, n)
+        return np.linspace(d.mu_lo, d.mu_hi, self.nodes(d))
 
     def spacing(self, d: MaximalDist) -> float:
         """Realised node spacing (0 for a degenerate interval)."""
         if d.degenerate:
             return 0.0
-        n = len(self.points(d))
-        return d.width / (n - 1)
+        return d.width / (self.nodes(d) - 1)
 
 
 class GridMax(NamedTuple):

@@ -159,6 +159,16 @@ class TestEval:
         assert obj["result"]["argmax"] == want.argmax == 2.0
         assert 0.0 <= want.error_bound <= 4.0 * 0.5 / 2
 
+    def test_oversized_grid_is_validation_error(self, capsys):
+        # 1e12 nodes would need 7.28 TiB; the grid is rejected before any allocation
+        code, _, err = run_text(
+            capsys, ["eval", "--mu-lo", "0", "--mu-hi", "1", "--fn", "square", "--step", "1e-12"]
+        )
+        assert code == 2
+        message = error_line(err)["error"]["message"]
+        assert "needs 1000000000001 nodes" in message
+        assert "--step/--points" in message
+
     def test_unknown_fn(self, capsys):
         code, _, err = run_text(
             capsys, ["eval", "--mu-lo", "0", "--mu-hi", "1", "--fn", "sigmoid"]

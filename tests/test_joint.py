@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subexp import joint
 from subexp.joint import (
     BoundedLipschitzFnN,
     JointSpec,
@@ -16,6 +19,7 @@ from subexp.joint import (
 )
 from subexp.axioms import random_family, random_fn
 from subexp.maximal import GridSpec, MaximalDist, eval_maximal
+from subexp.mle import unbiasedness_check
 from subexp.scenarios import (
     BoundedLipschitzFn,
     DiscreteMeasure,
@@ -189,6 +193,77 @@ class TestExactFamilyMarginals:
         f = BoundedLipschitzFnN(lambda x, y: np.where(x == 1.0, bad, x + y), 2, 1.0)
         with pytest.raises(EvaluationError, match="family marginal 0 at point 1.0"):
             compose_independent(JointSpec((fam, MaximalDist(0.0, 1.0))), f, GridSpec(num=5))
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_only_maximal_marginals_raise(self, bad, arity):
+        # -inf at y > 0.5 would vanish in the max over y; it must raise anyway
+        f = BoundedLipschitzFnN(lambda *xs: np.where(xs[-1] > 0.5, bad, sum(xs)), arity, float(arity))
+        j = JointSpec((MaximalDist(0.0, 1.0),) * arity)
+        point = (0.75,) if arity == 1 else (0.0, 0.75)
+        with pytest.raises(EvaluationError, match=re.escape(f"at point {point!r}")) as info:
+            compose_independent(j, f, GridSpec(num=5))
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_family_axis_message_is_the_same_in_one_cell_blocks(self, bad, monkeypatch):
+        monkeypatch.setattr(joint, "_BLOCK_CELLS", 1)
+        fam = ScenarioFamily((DiscreteMeasure.uniform([0.0, 1.0]), DiscreteMeasure.dirac(0.5)))
+        f = BoundedLipschitzFnN(lambda x, y: np.where(x == 1.0, bad, x + y), 2, 1.0)
+        with pytest.raises(EvaluationError, match="non-finite value on family marginal 0 at point 1.0"):
+            compose_independent(JointSpec((fam, MaximalDist(0.0, 1.0))), f, GridSpec(num=5))
+
+
+def _random_marginal(rng, family):
+    if family:
+        return random_family(rng, max_measures=2)
+    lo = float(rng.uniform(-2, 1))
+    return MaximalDist(lo, lo + float(rng.choice([0.0, rng.uniform(0.1, 2)])))
+
+
+class TestBlockEvaluation:
+    LAYOUTS = ["F", "M", "FM", "MF", "FMM", "MMF", "MFM", "FMMF", "MMMM", "MFMF"]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_any_block_size_gives_identical_results(self, layout, monkeypatch):
+        rng = np.random.default_rng(71 + self.LAYOUTS.index(layout))
+        n = len(layout)
+        for _ in range(4):
+            j = JointSpec(tuple(_random_marginal(rng, c == "F") for c in layout))
+            w = rng.uniform(-1, 1, size=n)
+            f = BoundedLipschitzFnN(
+                lambda *xs, w=w: np.sin(sum(wi * x for wi, x in zip(w, xs))) + xs[0] * xs[-1], n, 30.0
+            )
+            g = GridSpec(num=int(rng.integers(2, 5)))
+            want = compose_independent(j, f, g)
+            assert want.value == nested_oracle(j.marginals, f.fn, g)
+            for cells in (1, 2, 3, 7, 50):
+                monkeypatch.setattr(joint, "_BLOCK_CELLS", cells)
+                assert compose_independent(j, f, g) == want
+            monkeypatch.undo()
+
+    def test_max_of_five_peak_memory(self):
+        # 15**5 cells: the whole tensor would take over 60 MB; blocks keep
+        # the traced peak a few MB
+        d = MaximalDist(-1.0, 1.0)
+        f = BoundedLipschitzFnN(lambda *xs: np.maximum.reduce(list(xs)), 5, 1.0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = compose_independent(JointSpec((d,) * 5), f, GridSpec(num=15))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert res.value == d.mu_hi
+        assert peak < 16 * 2**20
+        check = unbiasedness_check(d, 5, 15)
+        assert check.upper_ok and check.lower_ok
 
 
 class TestAsymmetryProbe:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,22 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(num=1).points(MaximalDist(0.0, 1.0))
         assert list(GridSpec(num=1).points(MaximalDist(2.0, 2.0))) == [2.0]
+
+    def test_node_limit_is_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(maximal, "_MAX_GRID_NODES", 11)
+        unit = MaximalDist(0.0, 1.0)
+        assert len(GridSpec(num=11).points(unit)) == GridSpec(step=0.1).nodes(unit) == 11
+        wide = MaximalDist(-1e308, 1e308)  # its width overflows to inf
+        for g, d, count in (
+            (GridSpec(num=12), unit, "12"),
+            (GridSpec(step=0.09), unit, "13"),
+            (GridSpec(step=1e-300), unit, "1e+300"),
+            (GridSpec(step=1.0), wide, "inf"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"needs {count} nodes, over the limit of 11")):
+                g.points(d)
+            with pytest.raises(ValueError, match="--step/--points"):
+                g.spacing(d)
 
     def test_points_include_endpoints_exactly(self):
         d = MaximalDist(-1.0, 2.0)
