@@ -24,9 +24,11 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DataError",
@@ -38,6 +40,12 @@ __all__ = [
     "variance_envelope",
     "ingest_csv",
 ]
+
+# rolling_local_variance reduces at most this many window cells at once, so
+# each temporary stays at 64 KiB, half of glibc's default mmap threshold:
+# larger chunks are mmapped and page-faulted afresh on every call (the
+# same effect made joint._BLOCK_CELLS 2**13).
+_CHUNK_CELLS = 1 << 13
 
 
 class DataError(ValueError):
@@ -54,23 +62,28 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if not self.values:
             raise DataError("time series must be nonempty")
-        vals = []
-        for i, v in enumerate(self.values):
-            fv = float(v)
-            if not math.isfinite(fv):
-                raise DataError(f"observation {i} is not finite: {fv!r}; missing values are not imputed")
-            vals.append(fv)
-        object.__setattr__(self, "values", tuple(vals))
+        try:
+            vals = tuple(map(float, self.values))
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or not np.isfinite(vals).all():
+            for i, v in enumerate(self.values):  # name the first bad entry
+                fv = float(v)
+                if not math.isfinite(fv):
+                    raise DataError(f"observation {i} is not finite: {fv!r}; missing values are not imputed")
+        object.__setattr__(self, "values", vals)
         if self.timestamps is not None:
-            ts = tuple(float(t) for t in self.timestamps)
+            ts = tuple(map(float, self.timestamps))
             if len(ts) != len(vals):
                 raise DataError(f"{len(ts)} timestamps for {len(vals)} values")
-            for i in range(1, len(ts)):
-                if not ts[i] > ts[i - 1]:
-                    raise DataError(
-                        f"timestamps must be strictly increasing; entry {i} ({ts[i]!r}) "
-                        f"does not exceed entry {i - 1} ({ts[i - 1]!r})"
-                    )
+            arr = np.asarray(ts)
+            bad = np.flatnonzero(~(arr[1:] > arr[:-1]))  # a nan compares false as well
+            if bad.size:
+                i = int(bad[0]) + 1
+                raise DataError(
+                    f"timestamps must be strictly increasing; entry {i} ({ts[i]!r}) "
+                    f"does not exceed entry {i - 1} ({ts[i - 1]!r})"
+                )
             object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
@@ -114,6 +127,12 @@ def rolling_local_variance(z: TimeSeries, cfg: EnvelopeConfig, t_index: int | No
     series).  With ``demean`` the usual (L-1)-denominator sample variance
     is used; without it the raw second moment sum(z^2)/(L-1), which
     equals the demeaned value plus L*mean^2/(L-1).
+
+    The K windows are rows of one strided view of the last L+K-1
+    observations, reduced in chunks of at most ``_CHUNK_CELLS`` cells.
+    Each row is reduced on its own, exactly as ``np.var(w, ddof=1)`` (or
+    ``np.sum(w * w) / (L - 1)``) reduces a single window, so the values
+    are the same bit for bit.
     """
     t = len(z) if t_index is None else int(t_index)
     L, K = cfg.window, cfg.num_windows
@@ -125,14 +144,14 @@ def rolling_local_variance(z: TimeSeries, cfg: EnvelopeConfig, t_index: int | No
             f"need at least {need} observations strictly before t_index "
             f"(window {L} plus {K} shifts), have {max(t, 0)}"
         )
-    arr = np.asarray(z.values)
+    # row j-1 is window j: reversing puts the window ending at t-1 first
+    windows = sliding_window_view(np.asarray(z.values[t - need : t]), L)[::-1]
+    step = max(1, _CHUNK_CELLS // L)
     out = []
-    for j in range(1, K + 1):
-        w = arr[t - L - j + 1 : t - j + 1]
-        if cfg.demean:
-            out.append(float(np.var(w, ddof=1)))
-        else:
-            out.append(float(np.sum(w * w) / (L - 1)))
+    for i in range(0, K, step):
+        w = windows[i : i + step]
+        var = np.var(w, axis=1, ddof=1) if cfg.demean else (w * w).sum(axis=1) / (L - 1)
+        out.extend(var.tolist())
     return out
 
 
@@ -160,6 +179,11 @@ class ColumnSpec:
     value: int | str = 0
     timestamp: int | str | None = None
     header: bool | None = None
+
+    def __post_init__(self) -> None:
+        for what, col in (("value", self.value), ("timestamp", self.timestamp)):
+            if isinstance(col, int) and col < 0:
+                raise ValueError(f"{what} column index must be >= 0 (0-based), got {col!r}")
 
     def needs_header(self) -> bool:
         by_name = isinstance(self.value, str) or isinstance(self.timestamp, str)
@@ -193,12 +217,36 @@ def _cell(row: list[str], idx: int, row_no: int, what: str) -> float:
     return v
 
 
+def _validate_rows(rows: list[list[str]], v_idx: int, t_idx: int | None) -> tuple[list, list | None]:
+    """Parse row by row, raising a DataError at the first bad row."""
+    values = []
+    stamps = [] if t_idx is not None else None
+    for row_no, row in enumerate(rows, start=1):
+        if not row or all(not c.strip() for c in row):
+            raise DataError(f"row {row_no}: blank row (rows are never skipped silently)")
+        values.append(_cell(row, v_idx, row_no, "value"))
+        if t_idx is not None:
+            stamps.append(_cell(row, t_idx, row_no, "timestamp"))
+    return values, stamps
+
+
+def _bulk_column(rows: list[list[str]], idx: int) -> list[float]:
+    """One column parsed in bulk; raises ValueError or IndexError on any bad cell."""
+    vals = list(map(float, map(itemgetter(idx), rows)))  # float() ignores padding as strip() does
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite cell")
+    return vals
+
+
 def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     """Read a numeric series from a CSV file.
 
     Every data row must parse; non-numeric, missing, or non-finite cells
     raise :class:`DataError` naming the 1-based data row (counted after
     the header, when there is one).  Nothing is skipped silently.
+
+    The selected columns are parsed in bulk; only when that fails are the
+    rows walked one by one, to name the first bad row.
     """
     if not os.path.exists(path):
         raise DataError(f"input file does not exist: {path}")
@@ -215,12 +263,9 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     t_idx = _resolve(spec.timestamp, names, "timestamp") if spec.timestamp is not None else None
     if not rows:
         raise DataError(f"{path} contains no data rows")
-    values = []
-    stamps = [] if t_idx is not None else None
-    for row_no, row in enumerate(rows, start=1):
-        if not row or all(not c.strip() for c in row):
-            raise DataError(f"row {row_no}: blank row (rows are never skipped silently)")
-        values.append(_cell(row, v_idx, row_no, "value"))
-        if t_idx is not None:
-            stamps.append(_cell(row, t_idx, row_no, "timestamp"))
+    try:
+        values = _bulk_column(rows, v_idx)
+        stamps = _bulk_column(rows, t_idx) if t_idx is not None else None
+    except (ValueError, IndexError):
+        values, stamps = _validate_rows(rows, v_idx, t_idx)
     return TimeSeries(tuple(values), tuple(stamps) if stamps is not None else None)

@@ -11,7 +11,12 @@ seed + r.  Within one replication, policies that randomise draw their
 whole mean sequence first and the noise vector second; the adversarial
 policy (which must see the running average) draws the noise vector first
 and then walks the path.  Identical configs and seeds therefore
-reproduce paths bit for bit.
+reproduce paths bit for bit.  Constant, periodic and adversarial policies
+draw nothing before the noise, so in one call they all see replication
+r's same noise vector, which is drawn once and shared.
+
+A run may draw at most ``_MAX_DRAWS`` (2**28) observations per policy,
+reps * n; ``SimConfig`` rejects more before anything is allocated.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ __all__ = [
 ]
 
 GENERATOR_NAME = "numpy-pcg64"
+# SimConfig rejects more draws per policy (reps * n) than this, before any
+# simulation allocates or runs.
+_MAX_DRAWS = 1 << 28
 
 
 class SimulationError(RuntimeError):
@@ -156,6 +164,11 @@ class SimConfig:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps!r}")
+        if self.reps * self.n > _MAX_DRAWS:
+            raise ValueError(
+                f"reps * n = {self.reps} * {self.n} = {self.reps * self.n} draws, over the limit of "
+                f"{_MAX_DRAWS}; use fewer replications or a smaller n (--reps/--n-max)"
+            )
 
 
 def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
@@ -168,24 +181,29 @@ def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
         )
 
 
+def _adversarial_path(d: MaximalDist, policy: MeanPolicy, eps: np.ndarray) -> np.ndarray:
+    """Walk the path step by step; ``eps`` is the noise vector, drawn first."""
+    mu_lo, mu_hi, callback = d.mu_lo, d.mu_hi, policy.callback
+    x = []
+    total = 0.0
+    for i, e in enumerate(eps.tolist()):
+        running = total / i if i else 0.0
+        mu = float(callback(running))
+        if not (mu_lo <= mu <= mu_hi):
+            raise SimulationError(
+                f"policy {policy.label} produced mean {mu!r} at step {i}, outside [{mu_lo}, {mu_hi}]"
+            )
+        xi = mu + e
+        x.append(xi)
+        total += xi
+    return np.array(x)
+
+
 def _simulate_one(
     d: MaximalDist, policy: MeanPolicy, noise: NoiseSpec, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     if policy.kind == "adversarial":
-        eps = noise.sample(rng, n)
-        x = np.empty(n)
-        total = 0.0
-        for i in range(n):
-            running = total / i if i else 0.0
-            mu = float(policy.callback(running))
-            if not (d.mu_lo <= mu <= d.mu_hi):
-                raise SimulationError(
-                    f"policy {policy.label} produced mean {mu!r} at step {i}, "
-                    f"outside [{d.mu_lo}, {d.mu_hi}]"
-                )
-            x[i] = mu + eps[i]
-            total += x[i]
-        return x
+        return _adversarial_path(d, policy, noise.sample(rng, n))
     mus = policy.mean_vector(n, rng)
     _check_means(mus, d, policy)
     return mus + noise.sample(rng, n)
@@ -296,25 +314,61 @@ def _mean_and_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 def _prefix_stats(
     d: MaximalDist,
-    policy: MeanPolicy,
+    policies: Sequence[MeanPolicy],
     noise: NoiseSpec,
     cfg: SimConfig,
     schedule: Sequence[int],
     transform: Callable[[np.ndarray], np.ndarray],
-) -> list[tuple[float, float]]:
-    """Monte-Carlo mean and stderr of transform(S_n / n) at each scheduled n.
+) -> list[list[tuple[float, float]]]:
+    """Per policy, Monte-Carlo mean and stderr of transform(S_n / n) at each scheduled n.
 
     Paths are streamed one replication at a time so that reps * n_max
-    never has to be materialised.
+    never has to be materialised.  Replications run outside, policies
+    inside: only random policies draw before the noise, so every other
+    policy uses replication r's noise vector, drawn once, and the mean
+    vectors of constant and periodic policies are built and checked once.
+    ``transform`` maps the flat array of all running means in one call.
+    When policies fail, the error raised is the one a policy-by-policy
+    walk would meet first.
     """
     sched = np.asarray(schedule, dtype=int)
     n_max = int(sched.max())
-    acc = np.empty((cfg.reps, len(sched)))
+    means = np.empty((len(policies), cfg.reps, len(sched)))
+    path = np.empty(n_max)
+    shared = any(pol.kind != "random" for pol in policies)
+    fixed = {}
+    failed = {}  # policy index -> (replication, error) of its first failure
+    for p, pol in enumerate(policies):
+        if pol.kind in ("constant", "periodic"):
+            fixed[p] = pol.mean_vector(n_max, None)
+            try:
+                _check_means(fixed[p], d, pol)
+            except SimulationError as exc:
+                failed[p] = (0, exc)
     for r in range(cfg.reps):
-        path = _simulate_one(d, policy, noise, n_max, _rep_rng(cfg.seed, r))
-        means = np.cumsum(path)[sched - 1] / sched
-        acc[r, :] = transform(means)
-    return [_mean_and_stderr(acc[:, k]) for k in range(len(sched))]
+        eps = noise.sample(_rep_rng(cfg.seed, r), n_max) if shared else None
+        for p, pol in enumerate(policies):
+            if p in failed:
+                continue
+            try:
+                if p in fixed:
+                    x = np.add(fixed[p], eps, out=path)
+                elif pol.kind == "adversarial":
+                    x = _adversarial_path(d, pol, eps)
+                else:
+                    x = _simulate_one(d, pol, noise, n_max, _rep_rng(cfg.seed, r))
+            except SimulationError as exc:
+                failed[p] = (r, exc)
+                continue
+            np.cumsum(x, out=x)
+            means[p, r] = x[sched - 1] / sched
+    if failed:
+        # policy by policy, the transform of every earlier path came first
+        p, (r, exc) = min(failed.items())
+        transform(means.ravel()[: (p * cfg.reps + r) * len(sched)])
+        raise exc
+    acc = transform(means.ravel()).reshape(means.shape)
+    return [[_mean_and_stderr(a[:, k]) for k in range(len(sched))] for a in acc]
 
 
 def empirical_lln(
@@ -343,8 +397,7 @@ def empirical_lln(
         return np.asarray([float(f(m)) for m in means])
 
     rows = []
-    for pol in policies:
-        stats = _prefix_stats(d, pol, noise, cfg, schedule, transform)
+    for pol, stats in zip(policies, _prefix_stats(d, policies, noise, cfg, schedule, transform)):
         for n, (est, se) in zip(schedule, stats):
             rows.append(SimRow(n, pol.label, est, target, est - target, se))
     return SimReport(
@@ -385,11 +438,11 @@ def rate_check(
     m2 = second_moment_upper(d, noise)
 
     def transform(means: np.ndarray) -> np.ndarray:
-        return np.asarray([interval_distance(d, m) ** 2 for m in means])
+        # a scalar ** 2 (libm pow) rounds a few inputs differently from numpy's x * x
+        return np.asarray([interval_distance(d, m) ** 2 for m in means.tolist()])
 
     rows = []
-    for pol in policies:
-        stats = _prefix_stats(d, pol, noise, cfg, schedule, transform)
+    for pol, stats in zip(policies, _prefix_stats(d, policies, noise, cfg, schedule, transform)):
         for n, (est, se) in zip(schedule, stats):
             bound = m2 / n
             rows.append(SimRow(n, pol.label, est, bound, est - bound, se))

@@ -97,8 +97,9 @@ class GridSpec:
     largest cell upper bound minus the value found, which never exceeds
     the plain ``lipschitz * h / 2`` and is at most ``lipschitz * 1e-11``
     unless the evaluation cap or float resolution stops the search first.
-    A grid of more than ``_MAX_GRID_NODES`` (2**24) nodes raises ValueError
-    in ``nodes``, ``points`` and ``spacing`` before anything is allocated.
+    A grid of more than ``_MAX_GRID_NODES`` (2**24) nodes, or over an
+    interval whose width overflows to inf, raises ValueError in ``nodes``,
+    ``points`` and ``spacing`` before anything is allocated.
     """
 
     step: float | None = None
@@ -132,6 +133,8 @@ class GridSpec:
                 f"grid over [{d.mu_lo!r}, {d.mu_hi!r}] needs {count} nodes, over the limit of "
                 f"{_MAX_GRID_NODES}; use a larger step or fewer nodes (--step/--points)"
             )
+        if not math.isfinite(d.width):  # linspace would return nan nodes
+            raise ValueError(f"interval [{d.mu_lo!r}, {d.mu_hi!r}] is too wide: its width overflows to inf")
         return n
 
     def points(self, d: MaximalDist) -> np.ndarray:
@@ -238,13 +241,13 @@ def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridM
     never exceeds the true maximum; the certificate bounds the shortfall.
     Ties resolve to the smallest x.
     """
-    if d.degenerate:
-        return GridMax(float(f(d.mu_lo)), d.mu_lo, 0.0)
     pts = grid.points(d)
     vals = _finite_values(f, pts)
     i = int(np.argmax(vals))
     value = float(vals[i])
     argmax = float(pts[i])
+    if d.degenerate:
+        return GridMax(value, argmax, 0.0)
     h = d.width / (len(pts) - 1)
     err = f.lipschitz * h / 2.0
     if grid.refine:
@@ -268,7 +271,7 @@ def dirac_family(d: MaximalDist, n_atoms: int) -> ScenarioFamily:
         return ScenarioFamily((DiscreteMeasure.dirac(d.mu_lo),))
     if n_atoms < 2:
         raise ValueError("n_atoms must be >= 2 on a nondegenerate interval")
-    pts = np.linspace(d.mu_lo, d.mu_hi, n_atoms)
+    pts = GridSpec(num=n_atoms).points(d)
     return ScenarioFamily(tuple(DiscreteMeasure.dirac(float(p)) for p in pts))
 
 

@@ -564,3 +564,45 @@ class TestImportCost:
         )
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestRejectedBeforeWork:
+    def test_degenerate_eval_with_overflowing_value(self, capsys):
+        code, out, err = run_text(
+            capsys, ["eval", "--mu-lo", "1", "--mu-hi", "1", "--fn", "poly:1e308,1e308", "--points", "3"]
+        )
+        assert code == 2 and out == ""
+        assert "non-finite value" in error_line(err)["error"]["message"]
+
+    def test_eval_on_an_interval_wider_than_a_float(self, capsys):
+        code, _, err = run_text(
+            capsys, ["eval", "--mu-lo=-1e308", "--mu-hi=1e308", "--fn", "identity", "--points", "3"]
+        )
+        assert code == 2
+        assert "is too wide" in error_line(err)["error"]["message"]
+
+    @pytest.mark.parametrize("column", ["-5", "-1"])
+    def test_negative_column_index(self, capsys, tmp_path, column):
+        p = tmp_path / "two.csv"
+        p.write_text("1,2\n3,4\n5,6\n")
+        code, out, err = run_text(
+            capsys, ["envelope", "--input", str(p), "--column", column, "--window", "2", "--num-windows", "1"]
+        )
+        assert code == 2 and out == ""
+        assert "column index must be >= 0" in error_line(err)["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["rate", "lln"])
+    def test_draw_budget(self, capsys, monkeypatch, command):
+        from subexp import lln
+
+        monkeypatch.setattr(lln, "_MAX_DRAWS", 1000)
+        argv = [command, "--mu-lo=-1", "--mu-hi=2", "--n-max", "501", "--reps", "2"]
+        if command == "lln":
+            argv += ["--fn", "square", "--policy", "constant:0"]
+        code, out, err = run_text(capsys, argv)
+        assert code == 2 and out == ""
+        message = error_line(err)["error"]["message"]
+        assert "2 * 501 = 1002 draws, over the limit of 1000" in message
+        assert "--reps/--n-max" in message
+        code, _, _ = run_text(capsys, argv[:4] + ["500"] + argv[5:])
+        assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subexp import envelope
 from subexp.envelope import (
     ColumnSpec,
     DataError,
@@ -306,3 +307,84 @@ class TestIngestCsv:
         got = rolling_local_variance(z, EnvelopeConfig(window=3, num_windows=2))
         want = oracle_rolling(vals, 3, 2, 12)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def loop_rolling(values, L, K, t, demean):
+    # one np.var (or raw second moment) per window, as a direct reference
+    arr = np.asarray(values)
+    out = []
+    for j in range(1, K + 1):
+        w = arr[t - L - j + 1 : t - j + 1]
+        out.append(float(np.var(w, ddof=1)) if demean else float(np.sum(w * w) / (L - 1)))
+    return out
+
+
+class TestChunkedWindows:
+    @pytest.mark.parametrize("chunk", ["default", "1", "L", "3L+1"])
+    def test_equals_per_window_loop(self, monkeypatch, chunk):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            L = int(rng.integers(2, 150))
+            K = int(rng.integers(1, 120))
+            size = {"default": envelope._CHUNK_CELLS, "1": 1, "L": L, "3L+1": 3 * L + 1}[chunk]
+            monkeypatch.setattr(envelope, "_CHUNK_CELLS", size)
+            n = L + K - 1 + int(rng.integers(0, 30))
+            offset = float(rng.choice([0.0, 1e3, -1e6]))
+            vals = (offset + 10.0 ** rng.uniform(-3, 5) * rng.standard_normal(n)).tolist()
+            z = TimeSeries(tuple(vals))
+            t = int(rng.integers(L + K - 1, n + 1))
+            for demean in (True, False):
+                got = rolling_local_variance(z, EnvelopeConfig(L, K, demean), t)
+                assert got == loop_rolling(vals, L, K, t, demean)
+                assert all(type(v) is float for v in got)
+
+
+class TestBulkIngest:
+    CASES = {
+        "padded": ("t,z\n 1 , 0.5\n2,\t-0.25 \n", ColumnSpec(value="z", timestamp="t")),
+        "underscore": ("1_0\n2\n", ColumnSpec()),
+        "signed_fraction": ("+.5\n-.25\n", ColumnSpec()),
+        "nan_last": ("1\n2\nnan\n", ColumnSpec()),
+        "inf_last_timestamp": ("1,1\n2,2\ninf,3\n", ColumnSpec(value=1, timestamp=0)),
+        "ragged": ("1,2\n3\n4,5\n", ColumnSpec(value=1)),
+        "whitespace_only": ("1\n   \n2\n", ColumnSpec()),
+        "whitespace_cells": ("1,2\n , \n", ColumnSpec(value=1)),
+        "non_numeric_timestamp": ("a,1\n2,2\n", ColumnSpec(value=1, timestamp=0)),
+        "clean": ("1.0,0.1\n2.0,1e-3\n3.0,-7\n", ColumnSpec(value=1, timestamp=0)),
+    }
+
+    @staticmethod
+    def outcome(path, spec):
+        try:
+            z = ingest_csv(path, spec)
+        except DataError as exc:
+            return "error", str(exc)
+        return "ok", (z.values, z.timestamps)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bulk_path_matches_row_validator(self, tmp_path, monkeypatch, case):
+        text, spec = self.CASES[case]
+        p = tmp_path / "in.csv"
+        p.write_text(text)
+        bulk = self.outcome(str(p), spec)
+
+        def refuse(rows, idx):
+            raise ValueError("force the row validator")
+
+        monkeypatch.setattr(envelope, "_bulk_column", refuse)
+        assert bulk == self.outcome(str(p), spec)
+
+    def test_nan_timestamp_reports_order(self):
+        with pytest.raises(DataError, match=r"strictly increasing; entry 1 \(nan\)"):
+            TimeSeries((1.0, 2.0, 3.0), timestamps=(0.0, float("nan"), 2.0))
+
+    def test_first_non_finite_observation_is_named(self):
+        with pytest.raises(DataError, match=r"observation 2 is not finite: inf"):
+            TimeSeries((1.0, 2.0, float("inf"), float("nan")))
+
+
+class TestNegativeColumnIndex:
+    @pytest.mark.parametrize("kwargs", [{"value": -1}, {"value": -5}, {"timestamp": -1}])
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="column index must be >= 0"):
+            ColumnSpec(**kwargs)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subexp import lln
 from subexp.lln import (
     MeanPolicy,
     NoiseSpec,
@@ -369,3 +370,73 @@ class TestRateCheck:
         row = rep.csv_rows()[0]
         assert row[0] == 10
         assert row[2] == repr(0.0)
+
+
+MIXED = [
+    MeanPolicy.constant(-1.0),
+    MeanPolicy.random_choice([-1.0, 0.5, 2.0]),
+    MeanPolicy.periodic([2.0, -1.0, 0.0]),
+    MeanPolicy.constant(-1.0),
+]
+CHASE = MeanPolicy.adversarial(lambda avg: 2.0 if avg < 0.5 else -1.0, "chase")
+
+
+class TestSharedNoise:
+    @pytest.mark.parametrize("noise", [NoiseSpec.uniform(0.5), NoiseSpec.two_point(0.3), NoiseSpec.none()])
+    @pytest.mark.parametrize("policies", [MIXED, MIXED + [CHASE]], ids=["four", "with_adversarial"])
+    def test_multi_policy_calls_equal_single_calls(self, noise, policies):
+        d = MaximalDist(-1.0, 2.0)
+        cfg = SimConfig(n=300, reps=7, seed=11)
+        schedule = [1, 2, 17, 120, 300]
+        grid = GridSpec(num=31)
+        rate = rate_check(d, policies, noise, cfg, schedule)
+        lln_rep = empirical_lln(d, SQUARE, policies, noise, cfg, grid, schedule)
+        k = len(schedule)
+        for i, pol in enumerate(policies):
+            assert rate.rows[i * k : (i + 1) * k] == rate_check(d, [pol], noise, cfg, schedule).rows
+            single = empirical_lln(d, SQUARE, [pol], noise, cfg, grid, schedule)
+            assert lln_rep.rows[i * k : (i + 1) * k] == single.rows
+
+    def test_first_failing_policy_in_list_order_is_reported(self):
+        # the random policy fails at some replication; the constant one before any
+        d = MaximalDist(-1.0, 1.0)
+        cfg = SimConfig(n=50, reps=3, seed=5)
+        risky = MeanPolicy.random_choice([0.0, 4.0])
+        with pytest.raises(SimulationError) as single:
+            rate_check(d, [risky], NoiseSpec.none(), cfg, [50])
+        for policies in ([risky, MeanPolicy.constant(7.0)], [MeanPolicy.constant(0.0), risky, CHASE]):
+            with pytest.raises(SimulationError) as mixed:
+                rate_check(d, policies, NoiseSpec.none(), cfg, [50])
+            assert str(mixed.value) == str(single.value)
+
+    def test_transform_error_of_an_earlier_policy_comes_first(self):
+        d = MaximalDist(0.0, 1.0)
+        cfg = SimConfig(n=20, reps=4, seed=0)
+        noise = NoiseSpec.uniform(0.5)
+
+        def picky(x):
+            if x < 0:
+                raise ValueError(f"negative running mean {x!r}")
+            return x
+
+        fn = BoundedLipschitzFn(picky, 1.0, name="picky")
+        with pytest.raises(ValueError, match="negative running mean") as single:
+            empirical_lln(d, fn, [MeanPolicy.constant(0.0)], noise, cfg, GridSpec(num=3), [1, 20])
+        policies = [MeanPolicy.constant(0.0), MeanPolicy.constant(3.0)]
+        with pytest.raises(ValueError) as mixed:
+            empirical_lln(d, fn, policies, noise, cfg, GridSpec(num=3), [1, 20])
+        assert str(mixed.value) == str(single.value)
+
+
+class TestDrawBudget:
+    def test_limit_is_checked_in_the_config(self, monkeypatch):
+        monkeypatch.setattr(lln, "_MAX_DRAWS", 100)
+        assert SimConfig(n=10, reps=10, seed=0).n == 10
+        with pytest.raises(ValueError, match=r"reps \* n = 10 \* 11 = 110 draws, over the limit of 100"):
+            SimConfig(n=11, reps=10, seed=0)
+        with pytest.raises(ValueError, match="--reps/--n-max"):
+            SimConfig(n=1, reps=101, seed=0)
+
+    def test_oversized_run_is_rejected_before_allocating(self):
+        with pytest.raises(ValueError, match="4000000000 draws"):
+            SimConfig(n=2_000_000_000, reps=2, seed=0)

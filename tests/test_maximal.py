@@ -413,3 +413,20 @@ class TestIntervalDistance:
             assert dx == 0.0
         else:
             assert dx > 0.0
+
+
+class TestNonFiniteEdges:
+    def test_degenerate_interval_checks_the_value(self):
+        huge = BoundedLipschitzFn(lambda x: x * math.inf, 1.0, name="huge")
+        with pytest.raises(ValueError, match="non-finite value at point"):
+            eval_maximal(MaximalDist(1.0, 1.0), huge, GridSpec(num=3))
+
+    def test_overflowing_width_is_rejected_naming_the_interval(self):
+        wide = MaximalDist(-1e308, 1e308)
+        for call in (
+            lambda: eval_maximal(wide, IDENT, GridSpec(num=3)),
+            lambda: GridSpec(num=3).spacing(wide),
+            lambda: dirac_family(wide, 3),
+        ):
+            with pytest.raises(ValueError, match=re.escape("interval [-1e+308, 1e+308] is too wide")):
+                call()
