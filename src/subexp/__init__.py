@@ -7,135 +7,57 @@ sequentially independent joints (:mod:`subexp.joint`), simulation and
 rate checks for averages under mean ambiguity (:mod:`subexp.lln`),
 minimax interval estimation (:mod:`subexp.mle`), and rolling variance
 envelopes (:mod:`subexp.envelope`).
+
+``import subexp`` loads none of these modules: each public name is
+imported from its defining module on first access (PEP 562), so a caller
+pays only for the layers it uses.
 """
 
-from .scenarios import (
-    BoundedLipschitzFn,
-    DiscreteMeasure,
-    EvaluationError,
-    ScenarioFamily,
-    SublinearResult,
-    capacity,
-    expect_linear,
-    sublinear_expect,
-)
-from .maximal import (
-    GridMax,
-    GridMax2,
-    GridSpec,
-    MaximalDist,
-    convolve_scaled,
-    dirac_family,
-    eval_maximal,
-    interval_distance,
-)
-from .joint import (
-    BoundedLipschitzFnN,
-    ComposeResult,
-    JointSpec,
-    PointCapacity,
-    ProbeResult,
-    asymmetry_probe,
-    compose_independent,
-    indicator_approx,
-    point_capacity,
-)
-from .lln import (
-    MeanPolicy,
-    NoiseSpec,
-    SimConfig,
-    SimReport,
-    SimRow,
-    SimulationError,
-    empirical_lln,
-    log_schedule,
-    rate_check,
-    second_moment_upper,
-    simulate_path,
-)
-from .mle import (
-    MleResult,
-    SampleSet,
-    UnbiasednessResult,
-    likelihood,
-    mle_estimate,
-    solve_minimax_oracle,
-    unbiasedness_check,
-)
-from .envelope import (
-    ColumnSpec,
-    DataError,
-    EnvelopeConfig,
-    TimeSeries,
-    VarianceEnvelope,
-    ingest_csv,
-    rolling_local_variance,
-    variance_envelope,
-)
-from .axioms import AxiomSuiteReport, run_axiom_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # scenarios
-    "BoundedLipschitzFn",
-    "DiscreteMeasure",
-    "EvaluationError",
-    "ScenarioFamily",
-    "SublinearResult",
-    "capacity",
-    "expect_linear",
-    "sublinear_expect",
-    # maximal
-    "GridMax",
-    "GridMax2",
-    "GridSpec",
-    "MaximalDist",
-    "convolve_scaled",
-    "dirac_family",
-    "eval_maximal",
-    "interval_distance",
-    # joint
-    "BoundedLipschitzFnN",
-    "ComposeResult",
-    "JointSpec",
-    "PointCapacity",
-    "ProbeResult",
-    "asymmetry_probe",
-    "compose_independent",
-    "indicator_approx",
-    "point_capacity",
-    # lln
-    "MeanPolicy",
-    "NoiseSpec",
-    "SimConfig",
-    "SimReport",
-    "SimRow",
-    "SimulationError",
-    "empirical_lln",
-    "log_schedule",
-    "rate_check",
-    "second_moment_upper",
-    "simulate_path",
-    # mle
-    "MleResult",
-    "SampleSet",
-    "UnbiasednessResult",
-    "likelihood",
-    "mle_estimate",
-    "solve_minimax_oracle",
-    "unbiasedness_check",
-    # envelope
-    "ColumnSpec",
-    "DataError",
-    "EnvelopeConfig",
-    "TimeSeries",
-    "VarianceEnvelope",
-    "ingest_csv",
-    "rolling_local_variance",
-    "variance_envelope",
-    # axioms
-    "AxiomSuiteReport",
-    "run_axiom_suite",
-]
+# defining module -> public names re-exported here
+_EXPORTS = {
+    "scenarios": (
+        "BoundedLipschitzFn", "DiscreteMeasure", "EvaluationError", "ScenarioFamily", "SublinearResult",
+        "capacity", "expect_linear", "sublinear_expect",
+    ),
+    "maximal": (
+        "GridMax", "GridMax2", "GridSpec", "MaximalDist", "convolve_scaled", "dirac_family", "eval_maximal",
+        "interval_distance",
+    ),
+    "joint": (
+        "BoundedLipschitzFnN", "ComposeResult", "JointSpec", "PointCapacity", "ProbeResult", "asymmetry_probe",
+        "compose_independent", "indicator_approx", "point_capacity",
+    ),
+    "lln": (
+        "MeanPolicy", "NoiseSpec", "SimConfig", "SimReport", "SimRow", "SimulationError", "empirical_lln",
+        "log_schedule", "rate_check", "second_moment_upper", "simulate_path",
+    ),
+    "mle": (
+        "MleResult", "SampleSet", "UnbiasednessResult", "likelihood", "mle_estimate", "solve_minimax_oracle",
+        "unbiasedness_check",
+    ),
+    "envelope": (
+        "ColumnSpec", "DataError", "EnvelopeConfig", "TimeSeries", "VarianceEnvelope", "ingest_csv",
+        "rolling_local_variance", "variance_envelope",
+    ),
+    "axioms": ("AxiomSuiteReport", "run_axiom_suite"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    # Not cached: every access reads the defining module's current binding,
+    # so a name patched there (e.g. by a tracer) is seen here too.
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -16,6 +16,8 @@ outputs      JSON or CSV, always carrying a reproducibility header
              partial output
 config       --config FILE reads flat key=value lines; explicit flags
              win over file values, environment variables are ignored
+imports      each command imports the library layers it runs, when it
+             runs, so `estimate --values` starts without numpy
 """
 
 from __future__ import annotations
@@ -28,17 +30,15 @@ import json
 import os
 import sys
 import tempfile
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .axioms import run_axiom_suite
-from .envelope import ColumnSpec, DataError, EnvelopeConfig, ingest_csv, rolling_local_variance, variance_envelope
-from .joint import indicator_approx
-from .lln import MeanPolicy, NoiseSpec, SimConfig, SimulationError, empirical_lln, log_schedule, rate_check
-from .maximal import GridSpec, MaximalDist, eval_maximal
-from .mle import SampleSet, mle_estimate
-from .scenarios import BoundedLipschitzFn, EvaluationError, ScenarioFamily, sublinear_expect
+
+if TYPE_CHECKING:
+    from .envelope import ColumnSpec
+    from .lln import MeanPolicy, NoiseSpec
+    from .maximal import GridSpec, MaximalDist
+    from .scenarios import BoundedLipschitzFn, ScenarioFamily
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -79,6 +79,10 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
     except ValueError:
         raise CliError(EXIT_VALIDATION, f"bad numeric arguments in function spec {spec!r}")
     R = float(radius)
+    import numpy as np
+
+    from .scenarios import BoundedLipschitzFn
+
     if name == "identity":
         return BoundedLipschitzFn(lambda x: x, 1.0, bound=R, name=spec)
     if name == "square":
@@ -109,6 +113,8 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
     if name == "indicator":
         if len(args) != 2:
             raise CliError(EXIT_VALIDATION, "indicator needs x_star and k, e.g. indicator:2,5")
+        from .joint import indicator_approx
+
         return indicator_approx(args[0], int(args[1]))
     raise CliError(EXIT_VALIDATION, f"unknown function {name!r} (try identity, square, abs, sin, cos, poly, indicator)")
 
@@ -118,6 +124,8 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
 
 
 def _parse_noise(text: str) -> NoiseSpec:
+    from .lln import NoiseSpec
+
     name, _, argstr = text.partition(":")
     try:
         if name == "none":
@@ -132,6 +140,8 @@ def _parse_noise(text: str) -> NoiseSpec:
 
 
 def _parse_policy(text: str) -> MeanPolicy:
+    from .lln import MeanPolicy
+
     name, _, argstr = text.partition(":")
     if name == "adversarial":
         raise CliError(EXIT_VALIDATION, "adversarial policies take a callback and are library-only")
@@ -175,6 +185,8 @@ def _parse_column(text: str | None) -> int | str | None:
 
 
 def _column_spec(args) -> ColumnSpec:
+    from .envelope import ColumnSpec
+
     header = {"auto": None, "yes": True, "no": False}[args.header]
     value = _parse_column(args.column)
     return ColumnSpec(
@@ -377,20 +389,24 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
 
 
 def _load_family(path: str) -> ScenarioFamily:
+    from .scenarios import ScenarioFamily
+
     if not os.path.exists(path):
-        raise DataError(f"family file does not exist: {path}")
+        raise CliError(EXIT_DATA, f"family file does not exist: {path}")
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}")
+        raise CliError(EXIT_DATA, f"{path} is not valid JSON: {exc}")
     try:
         return ScenarioFamily.from_list(obj)
     except (ValueError, TypeError) as exc:
-        raise DataError(f"{path}: {exc}")
+        raise CliError(EXIT_DATA, f"{path}: {exc}")
 
 
 def _cmd_verify_axioms(args):
+    from .axioms import run_axiom_suite
+
     report = run_axiom_suite(cases=args.cases, seed=args.seed)
     payload = report.to_json_obj()
     rows = [[c.name, repr(c.max_violation), repr(c.tolerance), c.passed] for c in report.checks]
@@ -399,6 +415,8 @@ def _cmd_verify_axioms(args):
 
 
 def _grid_from_args(args, default_step: float = 1e-4) -> GridSpec:
+    from .maximal import GridSpec
+
     step = getattr(args, "step", None)
     points = getattr(args, "points", None)
     refine = bool(getattr(args, "refine", False))
@@ -413,6 +431,8 @@ def _cmd_eval(args):
     if (args.family is None) == (args.mu_lo is None and args.mu_hi is None):
         raise CliError(EXIT_VALIDATION, "give either --family or both --mu-lo and --mu-hi")
     if args.family is not None:
+        from .scenarios import sublinear_expect
+
         fam = _load_family(args.family)
         radius = max((abs(p) for p in fam.support()), default=1.0)
         fn = build_fn(args.fn, radius)
@@ -422,6 +442,8 @@ def _cmd_eval(args):
         return payload, (["value", "argmax_index", "error_bound"], [row]), EXIT_OK
     if args.mu_lo is None or args.mu_hi is None:
         raise CliError(EXIT_VALIDATION, "need both --mu-lo and --mu-hi")
+    from .maximal import MaximalDist, eval_maximal
+
     d = MaximalDist(args.mu_lo, args.mu_hi)
     fn = build_fn(args.fn, max(abs(d.mu_lo), abs(d.mu_hi)))
     res = eval_maximal(d, fn, _grid_from_args(args))
@@ -435,6 +457,9 @@ def _report_csv(report) -> tuple[list, list[list]]:
 
 
 def _cmd_lln(args):
+    from .lln import SimConfig, empirical_lln
+    from .maximal import MaximalDist
+
     d = MaximalDist(args.mu_lo, args.mu_hi)
     if not args.policy:
         raise CliError(EXIT_VALIDATION, "need at least one --policy")
@@ -448,6 +473,8 @@ def _cmd_lln(args):
 
 
 def _default_rate_policies(d: MaximalDist) -> list[MeanPolicy]:
+    from .lln import MeanPolicy
+
     mid = (d.mu_lo + d.mu_hi) / 2.0
     policies = [MeanPolicy.constant(d.mu_lo), MeanPolicy.constant(mid), MeanPolicy.constant(d.mu_hi)]
     if not d.degenerate:
@@ -462,6 +489,9 @@ def _default_rate_policies(d: MaximalDist) -> list[MeanPolicy]:
 
 
 def _cmd_rate(args):
+    from .lln import SimConfig, log_schedule, rate_check
+    from .maximal import MaximalDist
+
     d = MaximalDist(args.mu_lo, args.mu_hi)
     policies = [_parse_policy(s) for s in args.policy] if args.policy else _default_rate_policies(d)
     noise = _parse_noise(args.noise)
@@ -474,7 +504,11 @@ def _cmd_rate(args):
 def _cmd_estimate(args):
     if (args.input is None) == (args.values is None):
         raise CliError(EXIT_VALIDATION, "give exactly one of --input or --values")
+    from .mle import SampleSet, mle_estimate
+
     if args.input is not None:
+        from .envelope import ingest_csv
+
         series = ingest_csv(args.input, _column_spec(args))
         values = series.values
     else:
@@ -490,6 +524,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_envelope(args):
+    from .envelope import EnvelopeConfig, ingest_csv, rolling_local_variance, variance_envelope
+
     series = ingest_csv(args.input, _column_spec(args))
     cfg = EnvelopeConfig(window=args.window, num_windows=args.num_windows, demean=args.demean)
     sigmas = rolling_local_variance(series, cfg, args.t_index)
@@ -535,6 +571,18 @@ def _run(argv: list[str]) -> int:
     return code
 
 
+class _NeverRaised(Exception):
+    pass
+
+
+def _loaded_class(module: str, name: str) -> type[Exception]:
+    """Exception class ``name`` of ``module`` if that module is loaded, else
+    one that is never raised: an exception cannot come from a module that
+    was never imported, so there is no need to import it here."""
+    mod = sys.modules.get(module)
+    return getattr(mod, name) if mod is not None else _NeverRaised
+
+
 def _fail(code: int, message: str) -> int:
     line = json.dumps({"error": {"code": code, "message": " ".join(str(message).split())}})
     print(line, file=sys.stderr)
@@ -547,9 +595,9 @@ def main(argv: list[str] | None = None) -> int:
         return _run(argv)
     except CliError as exc:
         return _fail(exc.code, exc.message)
-    except DataError as exc:
+    except _loaded_class("subexp.envelope", "DataError") as exc:
         return _fail(EXIT_DATA, str(exc))
-    except (ValueError, TypeError, EvaluationError, SimulationError) as exc:
+    except (ValueError, TypeError, _loaded_class("subexp.lln", "SimulationError")) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except Exception as exc:  # pragma: no cover - safety net
         return _fail(EXIT_INTERNAL, f"{type(exc).__name__}: {exc}")

@@ -247,6 +247,7 @@ def point_capacity(j: JointSpec, points: Sequence[float], k_max: int) -> PointCa
     k = 1..k_max, computed in closed form as
     prod_i 1 / (1 + k * dist(x_i, [lo_i, hi_i])).  The trace decreases in
     k toward ``value`` and serves as a diagnostic; ``value`` is the limit.
+    A non-finite coordinate raises ValueError naming it.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max!r}")
@@ -256,7 +257,10 @@ def point_capacity(j: JointSpec, points: Sequence[float], k_max: int) -> PointCa
     for i, m in enumerate(j.marginals):
         if not isinstance(m, MaximalDist):
             raise TypeError(f"point_capacity needs maximal marginals; marginal {i} is {type(m).__name__}")
-        dists.append(interval_distance(m, float(points[i])))
+        x = float(points[i])
+        if not math.isfinite(x):
+            raise ValueError(f"coordinate {i} of the point is not finite: {x!r}")
+        dists.append(interval_distance(m, x))
     value = 1.0 if all(dd == 0.0 for dd in dists) else 0.0
     trace = []
     for k in range(1, k_max + 1):

@@ -54,6 +54,15 @@ class SimulationError(RuntimeError):
     """A policy produced a mean outside the ambiguity interval."""
 
 
+def _square(x: float, what: str) -> float:
+    """``x ** 2`` on a Python float, or ValueError naming ``what`` where the
+    float ``**`` raises OverflowError instead of returning inf."""
+    try:
+        return x**2
+    except OverflowError:
+        raise ValueError(f"{what} overflows: {x!r} ** 2 is beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Mean-zero observation noise.
@@ -87,9 +96,8 @@ class NoiseSpec:
     def second_moment(self) -> float:
         if self.kind == "none":
             return 0.0
-        if self.kind == "uniform":
-            return self.half_width**2 / 3.0
-        return self.half_width**2
+        a2 = _square(self.half_width, f"second moment of noise {self.label}")
+        return a2 / 3.0 if self.kind == "uniform" else a2
 
     @property
     def label(self) -> str:
@@ -411,7 +419,11 @@ def empirical_lln(
 
 def second_moment_upper(d: MaximalDist, noise: NoiseSpec) -> float:
     """Worst-case second moment of a single observation X = mu + eps."""
-    return max(d.mu_lo**2, d.mu_hi**2) + noise.second_moment
+    what = f"worst-case second moment over [{d.mu_lo!r}, {d.mu_hi!r}] with noise {noise.label}"
+    m2 = max(_square(d.mu_lo, what), _square(d.mu_hi, what)) + noise.second_moment
+    if math.isinf(m2):
+        raise ValueError(f"{what} overflows to inf")
+    return m2
 
 
 def rate_check(
@@ -438,7 +450,9 @@ def rate_check(
     m2 = second_moment_upper(d, noise)
 
     def transform(means: np.ndarray) -> np.ndarray:
-        # a scalar ** 2 (libm pow) rounds a few inputs differently from numpy's x * x
+        # a scalar ** 2 (libm pow) rounds a few inputs differently from numpy's x * x;
+        # it cannot overflow here, because a distance is at most about the noise
+        # half-width, whose square second_moment_upper above has checked
         return np.asarray([interval_distance(d, m) ** 2 for m in means.tolist()])
 
     rows = []

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily
+from .scenarios import BoundedLipschitzFn, DiscreteMeasure, EvaluationError, ScenarioFamily
 
 __all__ = [
     "MaximalDist",
@@ -166,16 +166,19 @@ def apply_elementwise(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
     """Evaluate fn over same-shaped arrays, falling back to a scalar loop.
 
     Tries a single vectorised call first; functions written with math.*
-    or returning plain scalars are looped instead.
+    or returning plain scalars are looped instead.  numpy's floating-point
+    warnings are silenced: callers check the values for finiteness and
+    raise one error naming the point instead.
     """
-    try:
-        out = np.asarray(fn(*arrays), dtype=float)
-        if out.shape == arrays[0].shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    flat = [a.ravel() for a in arrays]
-    vals = [float(fn(*xs)) for xs in zip(*flat)]
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(fn(*arrays), dtype=float)
+            if out.shape == arrays[0].shape:
+                return out
+        except (TypeError, ValueError):
+            pass
+        flat = [a.ravel() for a in arrays]
+        vals = [float(fn(*xs)) for xs in zip(*flat)]
     return np.array(vals).reshape(arrays[0].shape)
 
 
@@ -183,7 +186,7 @@ def _finite_values(f: Callable, pts: np.ndarray) -> np.ndarray:
     vals = apply_elementwise(f, pts)
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"test function returned non-finite value at point {pts.flat[bad]!r}")
+        raise ValueError(f"test function returned non-finite value at point {float(pts.flat[bad])!r}")
     return vals
 
 
@@ -281,7 +284,8 @@ def convolve_scaled(d: MaximalDist, a: float, b: float, f: BoundedLipschitzFn, g
     Scans the two-dimensional grid box; for nonnegative a, b this equals
     the maximum of f over [ (a+b)*mu_lo, (a+b)*mu_hi ] up to the reported
     certificate lipschitz * (a+b) * h / 2.  The argmax pair resolves ties
-    lexicographically (smallest x, then smallest xbar).
+    lexicographically (smallest x, then smallest xbar).  A non-finite value
+    of f raises EvaluationError naming the first such point (x, xbar).
     """
     a = float(a)
     b = float(b)
@@ -290,6 +294,12 @@ def convolve_scaled(d: MaximalDist, a: float, b: float, f: BoundedLipschitzFn, g
     pts = grid.points(d)
     X, Y = np.meshgrid(pts, pts, indexing="ij")
     vals = apply_elementwise(lambda x, y: f.fn(a * x + b * y), X, Y)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i, j = np.unravel_index(int(np.argmin(finite)), vals.shape)
+        raise EvaluationError(
+            f"non-finite value {float(vals[i, j])!r} at point {(float(pts[i]), float(pts[j]))!r}"
+        )
     flat = int(np.argmax(vals))
     i, j = np.unravel_index(flat, vals.shape)
     h = 0.0 if d.degenerate else d.width / (len(pts) - 1)

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from .joint import BoundedLipschitzFnN, JointSpec, compose_independent
-from .maximal import GridSpec, MaximalDist
+if TYPE_CHECKING:
+    from .maximal import MaximalDist
 
 __all__ = [
     "SampleSet",
@@ -144,6 +142,12 @@ def unbiasedness_check(d: MaximalDist, n: int, atoms_per_axis: int) -> Unbiasedn
     are evaluated by grid composition; the box grid contains the interval
     endpoints, so the equalities hold exactly in floats.
     """
+    # imported here so that the closed-form estimator runs without numpy
+    import numpy as np
+
+    from .joint import BoundedLipschitzFnN, JointSpec, compose_independent
+    from .maximal import GridSpec
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     grid = GridSpec(num=atoms_per_axis)

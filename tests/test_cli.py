@@ -606,3 +606,129 @@ class TestRejectedBeforeWork:
         assert "--reps/--n-max" in message
         code, _, _ = run_text(capsys, argv[:4] + ["500"] + argv[5:])
         assert code == 0
+
+
+def fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
+# prints the loaded numpy and subexp modules as a JSON list
+LOADED = (
+    "import json, sys; "
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'subexp'))))"
+)
+
+
+class TestImportBudget:
+    # a CLI call imports only the layers its command runs
+    def test_import_subexp_loads_no_layer_and_no_numpy(self):
+        out = fresh_interpreter(f"import subexp; {LOADED}")
+        assert json.loads(out.stdout) == ["subexp"]
+
+    def test_estimate_values_loads_no_numpy(self):
+        out = fresh_interpreter(
+            "import contextlib, io; from subexp import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['estimate', '--values', '0.3,1.2,2.5']) == 0\n"
+            f"{LOADED}"
+        )
+        loaded = json.loads(out.stdout)
+        assert not [m for m in loaded if m.startswith("numpy")]
+        assert loaded == ["subexp", "subexp.cli", "subexp.mle"]
+
+    def test_eval_family_loads_only_scenarios(self, tmp_path):
+        fam = tmp_path / "family.json"
+        fam.write_text(json.dumps([{"atoms": [[0.0, 0.5], [2.0, 0.5]]}, {"atoms": [[1.0, 1.0]]}]))
+        out = fresh_interpreter(
+            "import contextlib, io; from subexp import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['eval', '--family', {str(fam)!r}, '--fn', 'abs:0.25']) == 0\n"
+            f"{LOADED}"
+        )
+        loaded = [m for m in json.loads(out.stdout) if m.split(".")[0] == "subexp"]
+        assert loaded == ["subexp", "subexp.cli", "subexp.scenarios"]
+
+    def test_every_exported_name_is_the_defining_modules_object(self):
+        out = fresh_interpreter(
+            "import importlib, json, subexp\n"
+            "names = [n for n in subexp.__all__ if n != '__version__']\n"
+            "same = [getattr(subexp, n) is getattr(importlib.import_module(getattr(subexp, n).__module__), n)"
+            " for n in names]\n"
+            "homes = sorted({getattr(subexp, n).__module__ for n in names})\n"
+            "print(json.dumps([len(names), len(set(names)), all(same), homes,"
+            " sorted(set(subexp.__all__) - set(dir(subexp)))]))"
+        )
+        count, distinct, same, homes, missing_from_dir = json.loads(out.stdout)
+        assert count == distinct == 53
+        assert same
+        assert homes == [f"subexp.{m}" for m in ("axioms", "envelope", "joint", "lln", "maximal", "mle", "scenarios")]
+        assert missing_from_dir == []
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        out = fresh_interpreter(
+            "import subexp\n"
+            "try:\n"
+            "    subexp.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+            "print(hasattr(subexp, 'lln'))"
+        )
+        assert out.stdout.splitlines() == ["module 'subexp' has no attribute 'no_such_name'", "False"]
+
+    def test_package_attributes_follow_the_defining_module(self, monkeypatch):
+        # a patch of the defining module (as the benchmark tracer makes) is
+        # seen through the package and by the commands' local imports
+        import subexp
+        from subexp import mle
+
+        calls = []
+        real = mle.mle_estimate
+
+        def counted(sample):
+            calls.append(sample.n)
+            return real(sample)
+
+        monkeypatch.setattr(mle, "mle_estimate", counted)
+        assert subexp.mle_estimate is counted
+        assert cli.main(["estimate", "--values", "1,2,3"]) == 0
+        assert calls == [3]
+        monkeypatch.undo()
+        assert subexp.mle_estimate is real
+
+    def test_error_classes_of_loaded_layers_keep_their_exit_codes(self, capsys, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1.0\nabc\n")
+        code, _, err = run_text(capsys, ["envelope", "--input", str(p), "--window", "2", "--num-windows", "1"])
+        assert code == 3 and "row 2" in error_line(err)["error"]["message"]
+        code, _, err = run_text(capsys, ["lln", "--mu-lo=-1", "--mu-hi=2", "--fn", "square",
+                                         "--policy", "constant:5", "--n-max", "10", "--reps", "2"])
+        assert code == 2 and "outside" in error_line(err)["error"]["message"]
+
+
+class TestSingleLineErrors:
+    def test_rate_with_an_overflowing_second_moment(self, capsys):
+        code, out, err = run_text(capsys, ["rate", "--mu-lo=-1", "--mu-hi=1e200", "--n-max", "10", "--reps", "2"])
+        assert code == 2 and out == ""
+        message = error_line(err)["error"]["message"]
+        assert message.startswith("worst-case second moment over [-1.0, 1e+200] with noise none overflows")
+
+    def test_rate_with_overflowing_noise(self, capsys):
+        code, _, err = run_text(capsys, ["rate", "--mu-lo=0", "--mu-hi=1", "--noise", "two_point:1e200",
+                                         "--n-max", "10", "--reps", "2"])
+        assert code == 2
+        assert error_line(err)["error"]["message"].startswith("second moment of noise two_point:1e+200 overflows")
+
+    def test_overflow_in_a_registry_function_prints_only_the_error_line(self):
+        # run in a fresh interpreter so that a numpy warning would reach stderr
+        out = subprocess.run(
+            [sys.executable, "-m", "subexp.cli", "eval", "--mu-lo", "0", "--mu-hi", "1",
+             "--fn", "poly:1e308,1e308", "--points", "3"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.count("\n") == 1
+        message = json.loads(out.stderr)["error"]["message"]
+        assert message == "test function returned non-finite value at point 1.0"

@@ -413,3 +413,11 @@ class TestJointSpec:
     def test_rejects_wrong_types(self):
         with pytest.raises(TypeError):
             JointSpec((3.0,))
+
+
+class TestPointCapacityCoordinates:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_is_rejected(self, bad):
+        j = JointSpec((MaximalDist(0.0, 1.0), MaximalDist(0.0, 1.0)))
+        with pytest.raises(ValueError, match=re.escape(f"coordinate 1 of the point is not finite: {bad!r}")):
+            point_capacity(j, (0.5, bad), k_max=3)

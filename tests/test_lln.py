@@ -440,3 +440,30 @@ class TestDrawBudget:
     def test_oversized_run_is_rejected_before_allocating(self):
         with pytest.raises(ValueError, match="4000000000 draws"):
             SimConfig(n=2_000_000_000, reps=2, seed=0)
+
+
+class TestSecondMomentOverflow:
+    # a Python float ** 2 raises OverflowError above ~1.34e154; each
+    # overflow is a ValueError naming the second moment instead
+    def test_interval_endpoint(self):
+        with pytest.raises(ValueError, match=r"worst-case second moment over \[-1.0, 1e\+200\].*overflows"):
+            second_moment_upper(MaximalDist(-1.0, 1e200), NoiseSpec.none())
+
+    @pytest.mark.parametrize("kind", ["uniform", "two_point"])
+    def test_noise(self, kind):
+        with pytest.raises(ValueError, match=f"second moment of noise {kind}:1e\\+200 overflows"):
+            NoiseSpec(kind, 1e200).second_moment
+
+    def test_sum_overflowing_to_inf(self):
+        with pytest.raises(ValueError, match="overflows to inf"):
+            second_moment_upper(MaximalDist(0.0, 1e154), NoiseSpec.two_point(1.3e154))
+
+    def test_rate_check_before_simulating(self):
+        with pytest.raises(ValueError, match="worst-case second moment"):
+            rate_check(MaximalDist(-1.0, 1e200), [MeanPolicy.constant(0.0)], NoiseSpec.none(),
+                       SimConfig(n=10, reps=2, seed=0), [1, 10])
+
+    def test_largest_squarable_values_are_unchanged(self):
+        a = 1.3407807929942596e154  # the largest float whose square is finite
+        assert NoiseSpec.two_point(a).second_moment == a**2
+        assert second_moment_upper(MaximalDist(-a, 0.0), NoiseSpec.none()) == a**2

@@ -15,7 +15,7 @@ from subexp.maximal import (
     eval_maximal,
     interval_distance,
 )
-from subexp.scenarios import BoundedLipschitzFn, DiscreteMeasure, sublinear_expect
+from subexp.scenarios import BoundedLipschitzFn, DiscreteMeasure, EvaluationError, sublinear_expect
 
 SQUARE = BoundedLipschitzFn(lambda x: x * x, 4.0, name="square")
 NEG_SQUARE = BoundedLipschitzFn(lambda x: -x * x, 4.0, name="neg_square")
@@ -430,3 +430,30 @@ class TestNonFiniteEdges:
         ):
             with pytest.raises(ValueError, match=re.escape("interval [-1e+308, 1e+308] is too wide")):
                 call()
+
+
+class TestConvolveScaledFiniteness:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_raises_naming_the_point(self, bad):
+        f = BoundedLipschitzFn(lambda x: np.where(x > 1.5, bad, x), 1.0)
+        with pytest.raises(EvaluationError, match=re.escape(f"non-finite value {bad!r} at point (0.6000000000000001, 1.0)")):
+            convolve_scaled(MaximalDist(0.0, 1.0), 1.0, 1.0, f, GridSpec(num=11))
+
+    def test_scalar_only_function_is_checked_too(self):
+        f = BoundedLipschitzFn(lambda x: math.inf if float(x) > 1.5 else float(x), 1.0)
+        with pytest.raises(EvaluationError, match="non-finite value inf"):
+            convolve_scaled(MaximalDist(0.0, 1.0), 1.0, 1.0, f, GridSpec(num=11))
+
+
+class TestNonFiniteMessages:
+    def test_point_is_printed_as_a_python_float(self):
+        f = BoundedLipschitzFn(lambda x: np.where(x > 0.75, np.inf, x), 1.0)
+        with pytest.raises(ValueError) as info:
+            eval_maximal(MaximalDist(0.0, 1.0), f, GridSpec(num=3))
+        assert str(info.value) == "test function returned non-finite value at point 1.0"
+
+    def test_overflow_inside_the_function_warns_nothing(self, recwarn):
+        f = BoundedLipschitzFn(lambda x: x * 1e308 + 1e308, 1.0)
+        with pytest.raises(ValueError, match="non-finite value at point 1.0"):
+            eval_maximal(MaximalDist(0.0, 1.0), f, GridSpec(num=3))
+        assert [str(w.message) for w in recwarn] == []
