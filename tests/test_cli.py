@@ -697,11 +697,8 @@ class TestImportBudget:
         monkeypatch.undo()
         assert subexp.mle_estimate is real
 
-    def test_error_classes_of_loaded_layers_keep_their_exit_codes(self, capsys, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("1.0\nabc\n")
-        code, _, err = run_text(capsys, ["envelope", "--input", str(p), "--window", "2", "--num-windows", "1"])
-        assert code == 3 and "row 2" in error_line(err)["error"]["message"]
+    def test_simulation_error_is_a_validation_error(self, capsys):
+        # SimulationError is a RuntimeError; main finds its class among the loaded modules
         code, _, err = run_text(capsys, ["lln", "--mu-lo=-1", "--mu-hi=2", "--fn", "square",
                                          "--policy", "constant:5", "--n-max", "10", "--reps", "2"])
         assert code == 2 and "outside" in error_line(err)["error"]["message"]
