@@ -366,7 +366,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | None) -> None:
     if args.format == "json":
-        text = json.dumps({"meta": meta, "result": payload}, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps({"meta": meta, "result": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:  # a number overflowed; JSON has no inf or nan
+            raise CliError(EXIT_VALIDATION, f"{meta['command']} result holds a non-finite number")
     else:
         buf = io.StringIO()
         for key in ("version", "command", "seed", "config_digest"):

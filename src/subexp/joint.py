@@ -16,8 +16,13 @@ The product grid is never held whole.  ``compose_independent`` evaluates
 the test function in blocks of at most ``_BLOCK_CELLS`` cells (2**13) and
 reduces each block over its trailing axes before building the next, so a
 max-of-5 composition on 15 nodes per axis peaks at about 0.6 MB instead
-of about 64 MB.  Every reduction is exact per entry, so blocking changes
-no result.
+of about 64 MB.  The trailing axes' coordinates are the same in every
+block and are built once per call; only the leading axes' are filled per
+block.  Each run of consecutive maximal axes is reduced by one max over
+the run, each family axis by the exact kernel.  Every reduction is exact
+per entry, so neither blocking nor fusing changes a result.  A product
+grid of more than ``maximal._MAX_CELLS`` cells (2**30) is rejected before
+the test function is called.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from typing import Callable, NamedTuple, NoReturn, Sequence, Union
 
 import numpy as np
 
-from .maximal import GridSpec, MaximalDist, apply_elementwise, interval_distance
-from .scenarios import BoundedLipschitzFn, EvaluationError, ScenarioFamily, _expectations
+from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _check_cells, apply_elementwise, interval_distance
+from .scenarios import BoundedLipschitzFn, EvaluationError, ScenarioFamily, _distinct_points, _expectations
 
 __all__ = [
     "Marginal",
@@ -45,15 +50,6 @@ __all__ = [
 ]
 
 Marginal = Union[MaximalDist, ScenarioFamily]
-
-# compose_independent evaluates f over at most this many grid cells at once.
-# One coordinate array of a block is then at most 64 KiB, half of glibc's
-# default mmap threshold, so every block reuses heap memory malloc keeps.
-# With 2**16 cells (512 KiB arrays) whether a block's arrays were mmapped
-# and page-faulted afresh depended on the allocator's history, and the
-# max-of-5 composition on 15 nodes took anywhere from 17 to 60 ms.
-_BLOCK_CELLS = 1 << 13
-
 
 @dataclass(frozen=True)
 class BoundedLipschitzFnN:
@@ -113,9 +109,15 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
     in one block is reduced inside each block, one float per leading row is
     kept, and the leading axes are reduced once every block is done.  So
     peak memory is a few arrays of one block plus one float per leading
-    row, not arity + 1 arrays of the full tensor.  Max and the exact kernel
-    round each entry once, so the result does not depend on the block
-    size.  A non-finite value of f raises EvaluationError naming the point.
+    row, not arity + 1 arrays of the full tensor.  Each run of consecutive
+    maximal axes is reduced by one max, and each family axis by the exact
+    kernel; both round each entry once, so the result does not depend on
+    the block size.  The coordinates of the suffix axes are the same in
+    every block, so they are filled once.  All coordinates are read-only:
+    an f that writes into its arguments is evaluated point by point.  A
+    product grid of more than ``maximal._MAX_CELLS`` cells raises
+    ValueError before f is called, and a non-finite value of f raises
+    EvaluationError naming the point.
     """
     if f.arity != len(j.marginals):
         raise ValueError(f"function arity {f.arity} does not match {len(j.marginals)} marginals")
@@ -129,50 +131,61 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
             atom_cols.append(None)
             err += f.lipschitz * grid.spacing(m) / 2.0
         else:
-            axes.append(np.asarray(m.support(), dtype=float))
-            atom_cols.append(np.searchsorted(axes[-1], [p for meas in m.measures for p, _ in meas.atoms]))
-
-    def reduce(vals: np.ndarray, i: int) -> np.ndarray:
-        # the innermost expectation is over the last marginal, so axis i is
-        # always the trailing axis of vals when it is reduced
-        cols = atom_cols[i]
-        if cols is None:
-            return vals.max(axis=-1)
-        return _expectations(j.marginals[i], vals[..., cols]).max(axis=-1)
-
+            points, cols = _distinct_points(m)
+            axes.append(points)
+            atom_cols.append(cols)
     shape = tuple(len(a) for a in axes)
+    _check_cells(math.prod(shape), grid, f"a composition of {len(axes)} marginals")
+
+    def reduce(vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # axes lo..hi-1 are the trailing axes of vals; the innermost
+        # expectation is over the last marginal, so they go last to first
+        while hi > lo:
+            cols = atom_cols[hi - 1]
+            if cols is not None:
+                hi -= 1
+                vals = _expectations(j.marginals[hi], vals[..., cols]).max(axis=-1)
+                continue
+            run = hi - 1
+            while run > lo and atom_cols[run - 1] is None:
+                run -= 1
+            vals = vals.reshape(vals.shape[: vals.ndim - (hi - run)] + (-1,)).max(axis=-1)
+            hi = run
+        return vals
+
     split, tail = len(axes), 1  # axes[split:] are reduced inside each block
     while split and tail * shape[split - 1] <= _BLOCK_CELLS:
         split -= 1
         tail *= shape[split]
     lead_shape = shape[:split]
     rows = math.prod(lead_shape)
-    step = _BLOCK_CELLS // tail
-    # each block is a run of row-major rows of the leading axes (one block
-    # axis, absent when every axis is in the tail) times the whole tail
+    step = min(_BLOCK_CELLS // tail, rows)
+    # each block is a run of row-major rows of the leading axes (one row when
+    # every axis is in the tail) times the whole tail
     ones = (1,) * (len(axes) - split)
-    pad = (1,) if split else ()
-    tail_src = [a.reshape(pad + ones[:p] + (-1,) + ones[p + 1 :]) for p, a in enumerate(axes[split:])]
+    tail_coords = []
+    for p, a in enumerate(axes[split:]):
+        c = np.empty((step,) + shape[split:])
+        c[...] = a.reshape((1,) + ones[:p] + (-1,) + ones[p + 1 :])
+        c.flags.writeable = False
+        tail_coords.append(c)
     out = np.empty(rows)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        block_shape = ((stop - start,) if split else ()) + shape[split:]
-        lead = np.unravel_index(np.arange(start, stop), lead_shape) if split else ()
-        srcs = [axes[k][lead[k]].reshape((-1,) + ones) for k in range(split)] + tail_src
-        coords = [np.empty(block_shape) for _ in srcs]
-        for c, src in zip(coords, srcs):
-            c[...] = src
+        coords = []
+        if split:
+            for k, idx in enumerate(np.unravel_index(np.arange(start, stop), lead_shape)):
+                c = np.empty((stop - start,) + shape[split:])
+                c[...] = axes[k][idx].reshape((-1,) + ones)
+                c.flags.writeable = False  # a write must fail before f changes any argument
+                coords.append(c)
+        coords += [c[: stop - start] for c in tail_coords]
         vals = apply_elementwise(f.fn, *coords)
         if not np.isfinite(vals).all():
             _raise_non_finite(vals, coords, atom_cols)
-        for i in reversed(range(split, len(axes))):
-            vals = reduce(vals, i)
-        out[start:stop] = vals
+        out[start:stop] = reduce(vals, split, len(axes))
 
-    vals = out.reshape(lead_shape)
-    for i in reversed(range(split)):
-        vals = reduce(vals, i)
-    return ComposeResult(float(vals), err)
+    return ComposeResult(float(reduce(out.reshape(lead_shape), 0, split)), err)
 
 
 def _raise_non_finite(vals: np.ndarray, coords: list[np.ndarray], atom_cols: list[np.ndarray | None]) -> NoReturn:

@@ -313,11 +313,28 @@ def _row_dict(r: SimRow) -> dict:
     }
 
 
-def _mean_and_stderr(vals: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(vals))
-    if vals.size < 2:
-        return m, 0.0
-    return m, float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+def _mean_and_stderr(
+    acc: np.ndarray, policies: Sequence[MeanPolicy], schedule: Sequence[int]
+) -> list[list[tuple[float, float]]]:
+    """Per policy and scheduled n, the Monte-Carlo mean and standard error of
+    ``acc`` (policy, replication, n), checked finite.
+
+    Each (policy, n) column is copied into a contiguous row, which numpy
+    sums pairwise exactly as it would the column alone.
+    """
+    rows = acc.transpose(0, 2, 1).copy()
+    reps = rows.shape[-1]
+    with np.errstate(all="ignore"):
+        means = rows.mean(axis=-1)
+        se = rows.std(axis=-1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros_like(means)
+    bad = np.argwhere(~(np.isfinite(means) & np.isfinite(se)))
+    if bad.size:
+        p, k = bad[0]
+        raise SimulationError(
+            f"policy {policies[p].label} at n={schedule[k]}: the Monte-Carlo mean {float(means[p, k])!r} "
+            f"or its standard error {float(se[p, k])!r} is not finite"
+        )
+    return [list(zip(m.tolist(), e.tolist())) for m, e in zip(means, se)]
 
 
 def _prefix_stats(
@@ -376,7 +393,7 @@ def _prefix_stats(
         transform(means.ravel()[: (p * cfg.reps + r) * len(sched)])
         raise exc
     acc = transform(means.ravel()).reshape(means.shape)
-    return [[_mean_and_stderr(a[:, k]) for k in range(len(sched))] for a in acc]
+    return _mean_and_stderr(acc, policies, schedule)
 
 
 def empirical_lln(

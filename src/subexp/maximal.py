@@ -44,6 +44,17 @@ _REFINE_MAX_SPLIT = 16
 _REFINE_BATCH = 256
 # GridSpec rejects a grid with more nodes than this before allocating it.
 _MAX_GRID_NODES = 1 << 24
+# A product grid (convolve_scaled, joint.compose_independent) of more cells
+# than this is rejected before f is called: at tens of millions of cells per
+# second, 2**30 cells already take about half a minute.
+_MAX_CELLS = 1 << 30
+# Product grids are evaluated over at most this many cells at once.  One
+# coordinate array of a block is then at most 64 KiB, half of glibc's
+# default mmap threshold, so every block reuses heap memory malloc keeps.
+# With 2**16 cells (512 KiB arrays) whether a block's arrays were mmapped
+# and page-faulted afresh depended on the allocator's history, and the
+# max-of-5 composition on 15 nodes took anywhere from 17 to 60 ms.
+_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,17 @@ class GridMax2(NamedTuple):
     value: float
     argmax: tuple[float, float]
     error_bound: float
+
+
+def _check_cells(cells: int, grid: GridSpec, what: str) -> None:
+    """Reject a product grid of more than ``_MAX_CELLS`` cells, before any
+    evaluation."""
+    if cells > _MAX_CELLS:
+        spec = f"num={grid.num}" if grid.num is not None else f"step={grid.step!r}"
+        raise ValueError(
+            f"{what} needs {cells} grid cells with {spec}, over the limit of {_MAX_CELLS}; "
+            "use a larger step or fewer nodes"
+        )
 
 
 def apply_elementwise(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
@@ -286,25 +308,36 @@ def convolve_scaled(d: MaximalDist, a: float, b: float, f: BoundedLipschitzFn, g
     certificate lipschitz * (a+b) * h / 2.  The argmax pair resolves ties
     lexicographically (smallest x, then smallest xbar).  A non-finite value
     of f raises EvaluationError naming the first such point (x, xbar).
+    The box is walked in row-major blocks of at most ``_BLOCK_CELLS``
+    cells, and a box of more than ``_MAX_CELLS`` cells raises ValueError
+    before f is called.
     """
     a = float(a)
     b = float(b)
     if a < 0 or b < 0:
         raise ValueError(f"scale factors must be nonnegative, got a={a!r}, b={b!r}")
     pts = grid.points(d)
-    X, Y = np.meshgrid(pts, pts, indexing="ij")
-    vals = apply_elementwise(lambda x, y: f.fn(a * x + b * y), X, Y)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        i, j = np.unravel_index(int(np.argmin(finite)), vals.shape)
-        raise EvaluationError(
-            f"non-finite value {float(vals[i, j])!r} at point {(float(pts[i]), float(pts[j]))!r}"
-        )
-    flat = int(np.argmax(vals))
-    i, j = np.unravel_index(flat, vals.shape)
-    h = 0.0 if d.degenerate else d.width / (len(pts) - 1)
+    n = len(pts)
+    _check_cells(n * n, grid, "convolve_scaled")
+    def g(x, y):
+        return f.fn(a * x + b * y)
+
+    best, at = -math.inf, (0, 0)
+    for start in range(0, n * n, _BLOCK_CELLS):
+        i, j = np.divmod(np.arange(start, min(start + _BLOCK_CELLS, n * n)), n)
+        vals = apply_elementwise(g, pts[i], pts[j])
+        finite = np.isfinite(vals)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise EvaluationError(
+                f"non-finite value {float(vals[k])!r} at point {(float(pts[i[k]]), float(pts[j[k]]))!r}"
+            )
+        k = int(np.argmax(vals))
+        if vals[k] > best:  # strict: a tie keeps the earlier cell in row-major order
+            best, at = float(vals[k]), (int(i[k]), int(j[k]))
+    h = 0.0 if d.degenerate else d.width / (n - 1)
     err = f.lipschitz * (a + b) * h / 2.0
-    return GridMax2(float(vals[i, j]), (float(pts[i]), float(pts[j])), err)
+    return GridMax2(best, (float(pts[at[0]]), float(pts[at[1]])), err)
 
 
 def interval_distance(d: MaximalDist, x: float) -> float:

@@ -185,10 +185,7 @@ class ScenarioFamily:
 
     def support(self) -> tuple[float, ...]:
         """Sorted union of the atom points of all members."""
-        pts: set[float] = set()
-        for m in self.measures:
-            pts.update(m.support())
-        return tuple(sorted(pts))
+        return tuple(_distinct_points(self)[0].tolist())
 
     def to_list(self) -> list:
         return [m.to_dict() for m in self.measures]
@@ -207,6 +204,16 @@ def _dyadic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     low = exp.min(axis=-1, keepdims=True)
     n = np.left_shift((frac * 2.0**53).astype(np.int64).astype(object), exp - low)
     return n, low - 53
+
+
+def _distinct_points(family: ScenarioFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The family's distinct atom points, sorted, and each atom's position
+    among them, atoms taken member after member.  Of points that compare
+    equal (0.0 and -0.0) the first atom's is kept: np.unique sorts stably
+    when asked for first indices."""
+    flat = np.array([p for m in family.measures for p, _ in m.atoms])
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return flat[first], inverse
 
 
 def _expectations(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:

@@ -729,3 +729,28 @@ class TestSingleLineErrors:
         assert out.stderr.count("\n") == 1
         message = json.loads(out.stderr)["error"]["message"]
         assert message == "test function returned non-finite value at point 1.0"
+
+
+class TestFiniteJson:
+    def test_rate_with_an_overflowing_monte_carlo_mean(self):
+        # run in a fresh interpreter so that a numpy warning would reach stderr
+        out = subprocess.run(
+            [sys.executable, "-m", "subexp.cli", "rate", "--mu-lo", "0", "--mu-hi", "0",
+             "--noise", "two_point:1.3407807929942596e154", "--n-max", "10", "--reps", "5"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.count("\n") == 1
+        message = json.loads(out.stderr)["error"]["message"]
+        assert message.startswith("policy constant(0) at n=1: the Monte-Carlo mean inf")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--values=-1e308,1e308"],  # delta overflows
+        ["lln", "--mu-lo=-1", "--mu-hi=1", "--fn", "poly:0,1e308", "--policy", "constant:-1",
+         "--n-max", "10", "--reps", "1", "--points", "3"],  # gap overflows
+    ])
+    def test_an_overflowing_result_is_an_error_not_infinity(self, capsys, argv):
+        code, out, err = run_text(capsys, argv)
+        assert code == 2 and out == ""
+        assert error_line(err)["error"]["message"] == f"{argv[0]} result holds a non-finite number"

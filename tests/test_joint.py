@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subexp import joint
+from subexp import joint, maximal
 from subexp.joint import (
     BoundedLipschitzFnN,
     JointSpec,
@@ -421,3 +421,77 @@ class TestPointCapacityCoordinates:
         j = JointSpec((MaximalDist(0.0, 1.0), MaximalDist(0.0, 1.0)))
         with pytest.raises(ValueError, match=re.escape(f"coordinate 1 of the point is not finite: {bad!r}")):
             point_capacity(j, (0.5, bad), k_max=3)
+
+
+class TestRunsOfGridAxes:
+    LAYOUTS = ["MMFMM", "FMMMF"]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_runs_split_by_a_family_axis_match_the_oracle_at_any_block_size(self, layout, monkeypatch):
+        rng = np.random.default_rng(91 + self.LAYOUTS.index(layout))
+        n = len(layout)
+        for _ in range(3):
+            j = JointSpec(tuple(_random_marginal(rng, c == "F") for c in layout))
+            w = rng.uniform(-1, 1, size=n)
+            f = BoundedLipschitzFnN(
+                lambda *xs, w=w: np.sin(sum(wi * x for wi, x in zip(w, xs))) + xs[1] * xs[-2], n, 30.0
+            )
+            g = GridSpec(num=int(rng.integers(2, 4)))
+            want = nested_oracle(j.marginals, f.fn, g)
+            for cells in (1, 2, 3, 7, 50, joint._BLOCK_CELLS):
+                monkeypatch.setattr(joint, "_BLOCK_CELLS", cells)
+                assert compose_independent(j, f, g).value == want
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("cells", [7, joint._BLOCK_CELLS])
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    @pytest.mark.parametrize("last_first", [False, True])
+    def test_a_function_writing_into_its_arguments(self, shift, last_first, cells, monkeypatch):
+        # the coordinates of the trailing axes are shared by every block, so a
+        # write into them must not reach the next block, and a write into one
+        # argument must not happen before a write into another fails
+        monkeypatch.setattr(joint, "_BLOCK_CELLS", cells)
+
+        def writes(x, y):
+            if last_first:
+                y += shift
+            x += shift
+            if not last_first:
+                y += shift
+            return x + y
+
+        fam = ScenarioFamily((DiscreteMeasure.uniform([0.0, 0.5, 1.0]), DiscreteMeasure.dirac(-1.0)))
+        d = MaximalDist(-1.0, 2.0)
+        for marginals in ((d, d), (fam, d), (d, fam)):
+            j = JointSpec(marginals)
+            got = compose_independent(j, BoundedLipschitzFnN(writes, 2, 2.0), GridSpec(num=7))
+            assert got == compose_independent(j, BoundedLipschitzFnN(lambda x, y: (x + shift) + (y + shift), 2, 2.0), GridSpec(num=7))
+
+
+class TestCellBudget:
+    def test_cell_limit_is_checked_before_calling_f(self, monkeypatch):
+        monkeypatch.setattr(maximal, "_MAX_CELLS", 100)
+        calls = []
+
+        def f(*xs):
+            calls.append(xs)
+            return sum(xs)
+
+        d = MaximalDist(0.0, 1.0)
+        fam = ScenarioFamily((DiscreteMeasure.uniform([0.0, 0.5, 1.0]), DiscreteMeasure.dirac(0.25)))
+        assert compose_independent(JointSpec((d, d)), BoundedLipschitzFnN(f, 2, 1.0), GridSpec(num=10)).value == 2.0
+        assert calls
+        calls.clear()
+        for marginals, grid, text in (
+            ((d, d), GridSpec(num=11), "a composition of 2 marginals needs 121 grid cells with num=11"),
+            ((d, fam, d), GridSpec(step=0.2), "a composition of 3 marginals needs 144 grid cells with step=0.2"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{text}, over the limit of 100")):
+                compose_independent(JointSpec(marginals), BoundedLipschitzFnN(f, len(marginals), 1.0), grid)
+        assert calls == []
+
+    def test_an_oversized_composition_fails_fast(self):
+        # arity 8 on 21 nodes is 3.8e10 cells, about 16 minutes of evaluation
+        f = BoundedLipschitzFnN(lambda *xs: sum(xs), 8, 1.0)
+        with pytest.raises(ValueError, match=f"needs {21**8} grid cells with num=21, over the limit of {2**30}"):
+            compose_independent(JointSpec((MaximalDist(0.0, 1.0),) * 8), f, GridSpec(num=21))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -467,3 +469,34 @@ class TestSecondMomentOverflow:
         a = 1.3407807929942596e154  # the largest float whose square is finite
         assert NoiseSpec.two_point(a).second_moment == a**2
         assert second_moment_upper(MaximalDist(-a, 0.0), NoiseSpec.none()) == a**2
+
+
+class TestNonFiniteMonteCarloStatistics:
+    # each path's squared distance, about 1.8e308, is finite; their sum is not
+    NOISE = NoiseSpec.two_point(1.3407807929942596e154)
+    CFG = SimConfig(n=10, reps=5, seed=0)
+
+    def test_rate_check_names_the_policy_and_n(self, recwarn):
+        with pytest.raises(SimulationError, match=r"^policy constant\(0\) at n=1: the Monte-Carlo mean inf"):
+            rate_check(MaximalDist(0.0, 0.0), [MeanPolicy.constant(0.0)], self.NOISE, self.CFG, [1, 10])
+        assert [str(w.message) for w in recwarn] == []
+
+    def test_empirical_lln_names_the_policy_and_n(self, recwarn):
+        f = BoundedLipschitzFn(lambda x: 1e308 * x, 1e308)
+        with pytest.raises(SimulationError, match=r"^policy constant\(-1\) at n=2: the Monte-Carlo mean -inf"):
+            empirical_lln(MaximalDist(-1.0, 1.0), f, [MeanPolicy.constant(-1.0)], NoiseSpec.none(),
+                          self.CFG, GridSpec(num=3), [2, 10])
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("reps", [1, 2, 7, 9, 129, 9000])
+    def test_statistics_equal_the_column_by_column_loop(self, reps):
+        rng = np.random.default_rng(reps)
+        acc = rng.standard_normal((2, reps, 3)) * 1e150 + 1e149
+        want = [
+            [(float(np.mean(a[:, k])), float(np.std(a[:, k], ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0)
+             for k in range(3)]
+            for a in acc
+        ]
+        policies = [MeanPolicy.constant(0.0), MeanPolicy.constant(1.0)]
+        assert lln._mean_and_stderr(acc, policies, [1, 5, 10]) == want
+

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -457,3 +458,64 @@ class TestNonFiniteMessages:
         with pytest.raises(ValueError, match="non-finite value at point 1.0"):
             eval_maximal(MaximalDist(0.0, 1.0), f, GridSpec(num=3))
         assert [str(w.message) for w in recwarn] == []
+
+
+class TestConvolveScaledBlocks:
+    D = MaximalDist(-1.0, 2.0)
+    CASES = {
+        # z = x + xbar is constant along anti-diagonals, so the maximum is tied
+        "tie": BoundedLipschitzFn(lambda z: -np.abs(z - 0.5), 1.0),
+        "smooth": BoundedLipschitzFn(lambda z: np.sin(3.0 * z) - 0.1 * z * z, 4.0),
+        "scalar": BoundedLipschitzFn(lambda z: math.cos(float(z)), 1.0),
+        "non_finite": BoundedLipschitzFn(lambda z: np.where(z > 1.2, np.nan, z), 1.0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_any_block_size_gives_identical_results(self, case, monkeypatch):
+        f = self.CASES[case]
+
+        def run():
+            try:
+                return convolve_scaled(self.D, 1.0, 1.0, f, GridSpec(num=13))
+            except EvaluationError as exc:
+                return str(exc)
+
+        want = run()
+        for cells in (1, 3, 7):
+            monkeypatch.setattr(maximal, "_BLOCK_CELLS", cells)
+            assert run() == want
+        if case == "tie":
+            # the smallest x of the tied cells, then the smallest xbar
+            assert want.argmax == (-1.0, 1.5) and want.value == -0.0
+        if case == "non_finite":
+            assert want == "non-finite value nan at point (-0.75, 2.0)"
+
+    def test_peak_memory_stays_small(self):
+        # 3001 nodes: the whole 3001 x 3001 box would take about 72 MB per array
+        f = BoundedLipschitzFn(lambda z: -np.abs(z - 0.3), 1.0)
+        tracemalloc.start()
+        try:
+            res = convolve_scaled(self.D, 1.0, 1.0, f, GridSpec(step=1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.value) < 1e-12
+        assert peak < 16 * 2**20
+
+    def test_cell_limit_is_checked_before_calling_f(self, monkeypatch):
+        monkeypatch.setattr(maximal, "_MAX_CELLS", 120)
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return z
+
+        assert convolve_scaled(self.D, 1.0, 1.0, BoundedLipschitzFn(f, 1.0), GridSpec(num=10)).value == 4.0
+        calls.clear()
+        with pytest.raises(ValueError, match=re.escape("convolve_scaled needs 121 grid cells with num=11, over the limit of 120")):
+            convolve_scaled(self.D, 1.0, 1.0, BoundedLipschitzFn(f, 1.0), GridSpec(num=11))
+        assert calls == []
+
+    def test_an_oversized_box_fails_fast(self):
+        with pytest.raises(ValueError, match=re.escape(f"needs {60001**2} grid cells with step=5e-05")):
+            convolve_scaled(self.D, 1.0, 1.0, IDENT, GridSpec(step=5e-5))

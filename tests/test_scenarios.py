@@ -271,3 +271,54 @@ class TestBoundedLipschitzFn:
             assert abs(f(x) - f(y)) <= f.lipschitz * abs(x - y) + 1e-9
             if math.isfinite(f.bound):
                 assert abs(f(x)) <= f.bound + 1e-9
+
+
+class TestDistinctPoints:
+    # ScenarioFamily.support and the family axes of joint.compose_independent
+    # share one computation of the distinct points
+    FAMILIES = {
+        "duplicates": ((1.0, 0.5, 1.0), (0.5, -2.0), (1.0,)),
+        "zero_first": ((1.0, 0.0), (-0.0, 2.0)),
+        "negative_zero_first": ((1.0, -0.0), (0.0, -1.0), (0.0,)),
+    }
+    SUPPORT = {
+        "duplicates": ((-2.0, 0.5, 1.0), (-1.0, 1.0, 1.0)),
+        "zero_first": ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0)),
+        "negative_zero_first": ((-1.0, -0.0, 1.0), (-1.0, -1.0, 1.0)),
+    }
+    # compose_independent of (family,), (family, [-1, 0]) and ([-1, 0], family)
+    # with functions that read the sign of a zero
+    COMPOSE = {
+        "duplicates": (2.0, 4.0, 1.5),
+        "zero_first": (2.0, 4.0, -1.5),
+        "negative_zero_first": (0.5, 1.5, 3.0),
+    }
+
+    @staticmethod
+    def family(name):
+        return ScenarioFamily(tuple(DiscreteMeasure.uniform(pts) for pts in TestDistinctPoints.FAMILIES[name]))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_support_keeps_the_first_of_equal_points(self, name):
+        support = self.family(name).support()
+        points, signs = self.SUPPORT[name]
+        assert support == points
+        assert [math.copysign(1.0, p) for p in support] == list(signs)
+        assert all(type(p) is float for p in support)
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_family_axes_use_the_same_points(self, name):
+        from subexp.joint import BoundedLipschitzFnN, JointSpec, compose_independent
+        from subexp.maximal import GridSpec, MaximalDist
+
+        fam, d, g = self.family(name), MaximalDist(-1.0, 0.0), GridSpec(num=3)
+
+        def sign(x):
+            return np.copysign(1.0, x) + x
+
+        got = (
+            compose_independent(JointSpec((fam,)), BoundedLipschitzFnN(sign, 1, 1.0), g).value,
+            compose_independent(JointSpec((fam, d)), BoundedLipschitzFnN(lambda x, y: sign(x) * (1 - y), 2, 1.0), g).value,
+            compose_independent(JointSpec((d, fam)), BoundedLipschitzFnN(lambda y, x: -sign(x) * (1 - y), 2, 1.0), g).value,
+        )
+        assert got == self.COMPOSE[name]
