@@ -464,8 +464,9 @@ class TestRunsOfGridAxes:
         d = MaximalDist(-1.0, 2.0)
         for marginals in ((d, d), (fam, d), (d, fam)):
             j = JointSpec(marginals)
+            pure = BoundedLipschitzFnN(lambda x, y: (x + shift) + (y + shift), 2, 2.0)
             got = compose_independent(j, BoundedLipschitzFnN(writes, 2, 2.0), GridSpec(num=7))
-            assert got == compose_independent(j, BoundedLipschitzFnN(lambda x, y: (x + shift) + (y + shift), 2, 2.0), GridSpec(num=7))
+            assert got == compose_independent(j, pure, GridSpec(num=7))
 
 
 class TestCellBudget:

@@ -512,7 +512,8 @@ class TestConvolveScaledBlocks:
 
         assert convolve_scaled(self.D, 1.0, 1.0, BoundedLipschitzFn(f, 1.0), GridSpec(num=10)).value == 4.0
         calls.clear()
-        with pytest.raises(ValueError, match=re.escape("convolve_scaled needs 121 grid cells with num=11, over the limit of 120")):
+        message = "convolve_scaled needs 121 grid cells with num=11, over the limit of 120"
+        with pytest.raises(ValueError, match=re.escape(message)):
             convolve_scaled(self.D, 1.0, 1.0, BoundedLipschitzFn(f, 1.0), GridSpec(num=11))
         assert calls == []
 

@@ -316,9 +316,13 @@ class TestDistinctPoints:
         def sign(x):
             return np.copysign(1.0, x) + x
 
-        got = (
-            compose_independent(JointSpec((fam,)), BoundedLipschitzFnN(sign, 1, 1.0), g).value,
-            compose_independent(JointSpec((fam, d)), BoundedLipschitzFnN(lambda x, y: sign(x) * (1 - y), 2, 1.0), g).value,
-            compose_independent(JointSpec((d, fam)), BoundedLipschitzFnN(lambda y, x: -sign(x) * (1 - y), 2, 1.0), g).value,
+        cases = (
+            ((fam,), sign),
+            ((fam, d), lambda x, y: sign(x) * (1 - y)),
+            ((d, fam), lambda y, x: -sign(x) * (1 - y)),
+        )
+        got = tuple(
+            compose_independent(JointSpec(marginals), BoundedLipschitzFnN(fn, len(marginals), 1.0), g).value
+            for marginals, fn in cases
         )
         assert got == self.COMPOSE[name]
