@@ -365,12 +365,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | None) -> None:
-    if args.format == "json":
-        try:
-            text = json.dumps({"meta": meta, "result": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        except ValueError:  # a number overflowed; JSON has no inf or nan
-            raise CliError(EXIT_VALIDATION, f"{meta['command']} result holds a non-finite number")
-    else:
+    try:  # also the check for CSV output: neither format prints inf or nan
+        text = json.dumps({"meta": meta, "result": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a number overflowed
+        raise CliError(EXIT_VALIDATION, f"{meta['command']} result holds a non-finite number")
+    if args.format == "csv":
         buf = io.StringIO()
         for key in ("version", "command", "seed", "config_digest"):
             buf.write(f"# {key}={meta[key]}\n")

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, NoReturn, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _check_cells, apply_elementwise, interval_distance
-from .scenarios import BoundedLipschitzFn, EvaluationError, ScenarioFamily, _distinct_points, _expectations
+from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _check_cells, interval_distance
+from .scenarios import BoundedLipschitzFn, ScenarioFamily, _evaluate, _expectations
 
 __all__ = [
     "Marginal",
@@ -131,9 +131,8 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
             atom_cols.append(None)
             err += f.lipschitz * grid.spacing(m) / 2.0
         else:
-            points, cols = _distinct_points(m)
-            axes.append(points)
-            atom_cols.append(cols)
+            axes.append(m._points)
+            atom_cols.append(m._positions)
     shape = tuple(len(a) for a in axes)
     _check_cells(math.prod(shape), grid, f"a composition of {len(axes)} marginals")
 
@@ -169,6 +168,15 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
         c[...] = a.reshape((1,) + ones[:p] + (-1,) + ones[p + 1 :])
         c.flags.writeable = False
         tail_coords.append(c)
+    families = [i for i, cols in enumerate(atom_cols) if cols is not None]
+
+    def describe(k: int, v: float) -> str:
+        # point k of the current block, by its innermost family coordinate if any
+        point = tuple(float(c.flat[k]) for c in coords)
+        if families:
+            return f"non-finite value on family marginal {families[-1]} at point {point[families[-1]]!r}"
+        return f"non-finite value {v!r} at point {point!r}"
+
     out = np.empty(rows)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
@@ -180,24 +188,10 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
                 c.flags.writeable = False  # a write must fail before f changes any argument
                 coords.append(c)
         coords += [c[: stop - start] for c in tail_coords]
-        vals = apply_elementwise(f.fn, *coords)
-        if not np.isfinite(vals).all():
-            _raise_non_finite(vals, coords, atom_cols)
+        vals = _evaluate(f.fn, coords, describe)
         out[start:stop] = reduce(vals, split, len(axes))
 
     return ComposeResult(float(reduce(out.reshape(lead_shape), 0, split)), err)
-
-
-def _raise_non_finite(vals: np.ndarray, coords: list[np.ndarray], atom_cols: list[np.ndarray | None]) -> NoReturn:
-    """Name the first non-finite value of a block: by its coordinate on the
-    innermost family marginal when there is one, else by its full point."""
-    pos = int(np.flatnonzero(~np.isfinite(vals))[0])
-    point = tuple(float(c.flat[pos]) for c in coords)
-    families = [i for i, cols in enumerate(atom_cols) if cols is not None]
-    if families:
-        i = families[-1]
-        raise EvaluationError(f"non-finite value on family marginal {i} at point {point[i]!r}")
-    raise EvaluationError(f"non-finite value {float(vals.flat[pos])!r} at point {point!r}")
 
 
 class ProbeResult(NamedTuple):

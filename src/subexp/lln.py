@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .maximal import GridSpec, MaximalDist, eval_maximal, interval_distance
-from .scenarios import BoundedLipschitzFn
+from .scenarios import BoundedLipschitzFn, _evaluate
 
 __all__ = [
     "SimulationError",
@@ -409,7 +409,9 @@ def empirical_lln(
 
     One row per (n, policy).  The per-n maximum over the policy class (see
     :meth:`SimReport.max_rows`) is a lower-bound estimate of the worst
-    case; finitely many policies cannot exhaust the ambiguity.
+    case; finitely many policies cannot exhaust the ambiguity.  A
+    non-finite value of f at a running mean S_n/n raises EvaluationError
+    naming that mean.
     """
     if not policies:
         raise ValueError("need at least one policy")
@@ -419,7 +421,8 @@ def empirical_lln(
     target = eval_maximal(d, f, grid).value
 
     def transform(means: np.ndarray) -> np.ndarray:
-        return np.asarray([float(f(m)) for m in means])
+        at = "test function returned non-finite value {!r} at running mean {!r}"
+        return _evaluate(f, (means,), lambda k, v: at.format(v, float(means[k])))
 
     rows = []
     for pol, stats in zip(policies, _prefix_stats(d, policies, noise, cfg, schedule, transform)):

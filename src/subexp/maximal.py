@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .scenarios import BoundedLipschitzFn, DiscreteMeasure, EvaluationError, ScenarioFamily
+from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily, _evaluate
 
 __all__ = [
     "MaximalDist",
@@ -184,32 +184,9 @@ def _check_cells(cells: int, grid: GridSpec, what: str) -> None:
         )
 
 
-def apply_elementwise(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
-    """Evaluate fn over same-shaped arrays, falling back to a scalar loop.
-
-    Tries a single vectorised call first; functions written with math.*
-    or returning plain scalars are looped instead.  numpy's floating-point
-    warnings are silenced: callers check the values for finiteness and
-    raise one error naming the point instead.
-    """
-    with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(fn(*arrays), dtype=float)
-            if out.shape == arrays[0].shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        flat = [a.ravel() for a in arrays]
-        vals = [float(fn(*xs)) for xs in zip(*flat)]
-    return np.array(vals).reshape(arrays[0].shape)
-
-
 def _finite_values(f: Callable, pts: np.ndarray) -> np.ndarray:
-    vals = apply_elementwise(f, pts)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"test function returned non-finite value at point {float(pts.flat[bad])!r}")
-    return vals
+    """f at the grid points pts, checked finite."""
+    return _evaluate(f, (pts,), lambda k, v: f"test function returned non-finite value at point {float(pts.flat[k])!r}")
 
 
 def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: float, argmax: float):
@@ -264,7 +241,8 @@ def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridM
 
     The reported value is f at an actual point of the interval, so it
     never exceeds the true maximum; the certificate bounds the shortfall.
-    Ties resolve to the smallest x.
+    Ties resolve to the smallest x.  A non-finite value of f, on the grid
+    or at a refinement point, raises EvaluationError naming the point.
     """
     pts = grid.points(d)
     vals = _finite_values(f, pts)
@@ -325,13 +303,11 @@ def convolve_scaled(d: MaximalDist, a: float, b: float, f: BoundedLipschitzFn, g
     best, at = -math.inf, (0, 0)
     for start in range(0, n * n, _BLOCK_CELLS):
         i, j = np.divmod(np.arange(start, min(start + _BLOCK_CELLS, n * n)), n)
-        vals = apply_elementwise(g, pts[i], pts[j])
-        finite = np.isfinite(vals)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise EvaluationError(
-                f"non-finite value {float(vals[k])!r} at point {(float(pts[i[k]]), float(pts[j[k]]))!r}"
-            )
+        vals = _evaluate(
+            g,
+            (pts[i], pts[j]),
+            lambda k, v: f"non-finite value {v!r} at point {(float(pts[i[k]]), float(pts[j[k]]))!r}",
+        )
         k = int(np.argmax(vals))
         if vals[k] > best:  # strict: a tie keeps the earlier cell in row-major order
             best, at = float(vals[k]), (int(i[k]), int(j[k]))

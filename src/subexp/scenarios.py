@@ -12,6 +12,10 @@ common power of two and each mean is rounded to float once.  Rounding is
 monotone, so monotonicity and constant preservation hold exactly, not merely
 up to tolerance, in :func:`expect_linear`, :func:`sublinear_expect`,
 :func:`capacity` and the family marginals of ``joint.compose_independent``.
+
+Every layer applies test functions, events and user functions to points
+through one evaluator, :func:`_evaluate`; family paths call it once per
+distinct atom point.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ WEIGHT_TOL = 1e-12
 
 
 class EvaluationError(ValueError):
-    """A test function returned a non-finite value at an atom."""
+    """A test function returned a non-finite value at a point."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,10 @@ class ScenarioFamily:
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _masses: np.ndarray = field(init=False, repr=False, compare=False)
+    # Derived for evaluation: the distinct atom points, sorted and read-only
+    # (of 0.0 and -0.0 the first atom's), and each atom's position in them.
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.measures:
@@ -176,16 +184,21 @@ class ScenarioFamily:
         object.__setattr__(self, "measures", tuple(self.measures))
         starts = np.cumsum([0] + [len(m.atoms) for m in self.measures[:-1]])
         weights, _ = _dyadic(np.array([w for m in self.measures for _, w in m.atoms]))
+        flat = [p for m in self.measures for p, _ in m.atoms]
+        points = np.sort(list(set(flat)))  # a set keeps the first of equal points
+        points.flags.writeable = False
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_masses", np.add.reduceat(weights, starts))
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_positions", np.searchsorted(points, flat))
 
     def __len__(self) -> int:
         return len(self.measures)
 
     def support(self) -> tuple[float, ...]:
         """Sorted union of the atom points of all members."""
-        return tuple(_distinct_points(self)[0].tolist())
+        return tuple(self._points.tolist())
 
     def to_list(self) -> list:
         return [m.to_dict() for m in self.measures]
@@ -206,14 +219,29 @@ def _dyadic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n, low - 53
 
 
-def _distinct_points(family: ScenarioFamily) -> tuple[np.ndarray, np.ndarray]:
-    """The family's distinct atom points, sorted, and each atom's position
-    among them, atoms taken member after member.  Of points that compare
-    equal (0.0 and -0.0) the first atom's is kept: np.unique sorts stably
-    when asked for first indices."""
-    flat = np.array([p for m in family.measures for p, _ in m.atoms])
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    return flat[first], inverse
+def _evaluate(fn: Callable, arrays: Sequence[np.ndarray], describe: Callable[[int, float], str]) -> np.ndarray:
+    """fn applied elementwise to same-shaped arrays, checked finite.
+
+    One vectorised call comes first; if it raises TypeError or ValueError or
+    returns the wrong shape (math.* or a plain scalar), fn is called point
+    by point on Python floats.  numpy's floating-point warnings are
+    silenced.  The first non-finite value, v at flat index k, raises
+    ``EvaluationError(describe(k, v))``; exceptions raised by fn propagate.
+    """
+    shape = arrays[0].shape
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(fn(*arrays), dtype=float)
+        except (TypeError, ValueError):
+            out = None
+        if out is None or out.shape != shape:
+            columns = [a.ravel().tolist() for a in arrays]
+            out = np.array([float(fn(*xs)) for xs in zip(*columns)]).reshape(shape)
+    finite = np.isfinite(out)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise EvaluationError(describe(k, float(out.flat[k])))
+    return out
 
 
 def _expectations(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
@@ -233,18 +261,14 @@ def _expectations(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
 
 
 def _atom_values(family: ScenarioFamily, f: Callable[[float], float]) -> np.ndarray:
-    """f at every atom of the family, member after member, checked finite."""
-    vals = []
-    for m in family.measures:
-        for i, (p, _) in enumerate(m.atoms):
-            try:
-                v = float(f(p))
-            except Exception as exc:
-                raise EvaluationError(f"test function failed at atom {i} (point {p!r}): {exc}") from exc
-            if not math.isfinite(v):
-                raise EvaluationError(f"test function returned non-finite value {v!r} at atom {i} (point {p!r})")
-            vals.append(v)
-    return np.array(vals)
+    """f at every atom, member after member, evaluated once per distinct point."""
+
+    def describe(k: int, v: float) -> str:
+        atom = int(np.argmax(family._positions == k))  # the first atom at that point
+        i = atom - int(family._starts[np.searchsorted(family._starts, atom, side="right") - 1])
+        return f"test function returned non-finite value {v!r} at atom {i} (point {float(family._points[k])!r})"
+
+    return _evaluate(f, (family._points,), describe)[family._positions]
 
 
 def expect_linear(measure: DiscreteMeasure, f: Callable[[float], float] | BoundedLipschitzFn) -> float:
@@ -254,7 +278,8 @@ def expect_linear(measure: DiscreteMeasure, f: Callable[[float], float] | Bounde
     ------
     EvaluationError
         If ``f`` evaluates to a non-finite value at some atom; the message
-        identifies the offending atom.
+        identifies the offending atom.  Exceptions raised by ``f`` itself
+        propagate.
     """
     family = ScenarioFamily((measure,))
     return float(_expectations(family, _atom_values(family, f))[0])
@@ -282,5 +307,5 @@ def capacity(family: ScenarioFamily, event: Callable[[float], bool]) -> float:
     ``event`` must be decidable (return a truth value) on every atom point
     of every member; predicate failures propagate.
     """
-    hits = np.array([1.0 if event(p) else 0.0 for m in family.measures for p, _ in m.atoms])
+    hits = _atom_values(family, lambda x: np.asarray(event(x), dtype=bool))
     return float(_expectations(family, hits).max())

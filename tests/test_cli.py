@@ -754,3 +754,13 @@ class TestFiniteJson:
         code, out, err = run_text(capsys, argv)
         assert code == 2 and out == ""
         assert error_line(err)["error"]["message"] == f"{argv[0]} result holds a non-finite number"
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--values=-1e308,1e308", "--format", "csv"],  # delta overflows
+        ["eval", "--mu-lo=-1.3e154", "--mu-hi", "1.3e154", "--fn", "square", "--points", "2",
+         "--format", "csv"],  # error_bound overflows
+    ])
+    def test_csv_output_rejects_a_non_finite_result_like_json(self, capsys, argv):
+        code, out, err = run_text(capsys, argv)
+        assert code == 2 and out == ""
+        assert error_line(err)["error"]["message"] == f"{argv[0]} result holds a non-finite number"

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -326,3 +327,132 @@ class TestDistinctPoints:
             for marginals, fn in cases
         )
         assert got == self.COMPOSE[name]
+
+
+def _blowup(x):
+    # overflows (with a numpy warning, unless silenced) above x ~ 0.71
+    return np.exp(1000.0 * x)
+
+
+def _lln_with_blowup():
+    from subexp.lln import MeanPolicy, NoiseSpec, SimConfig, empirical_lln
+    from subexp.maximal import GridSpec, MaximalDist
+
+    # the target max over [0, 0.5] is finite; running means reach past 0.71
+    f = BoundedLipschitzFn(_blowup, 1.0)
+    policies = [MeanPolicy.constant(0.5)]
+    cfg = SimConfig(50, 20, 1)
+    return empirical_lln(MaximalDist(0.0, 0.5), f, policies, NoiseSpec.uniform(1.0), cfg, GridSpec(num=3))
+
+
+def _non_finite_cases():
+    from subexp.joint import BoundedLipschitzFnN, JointSpec, compose_independent
+    from subexp.maximal import GridSpec, MaximalDist, convolve_scaled, eval_maximal
+
+    f = BoundedLipschitzFn(_blowup, 1.0)
+    unit, grid = MaximalDist(0.0, 1.0), GridSpec(num=3)
+    pole = BoundedLipschitzFn(lambda x: 1.0 / (x - 0.25), 100.0)  # finite on the nodes 0 and 1 only
+    family = ScenarioFamily((DiscreteMeasure.dirac(0.0), DiscreteMeasure.uniform([0.5, 1.0])))
+    atom = "test function returned non-finite value inf at atom 1 (point 1.0)"
+    point = "test function returned non-finite value at point {}"
+    return {
+        "expect_linear": (lambda: expect_linear(DiscreteMeasure.uniform([0.0, 1.0]), f), re.escape(atom)),
+        "sublinear_expect": (lambda: sublinear_expect(family, f), re.escape(atom)),
+        "eval_maximal_grid": (lambda: eval_maximal(unit, f, grid), re.escape(point.format(1.0))),
+        "eval_maximal_degenerate": (lambda: eval_maximal(MaximalDist(1.0, 1.0), f, grid), re.escape(point.format(1.0))),
+        "eval_maximal_refine": (
+            lambda: eval_maximal(unit, pole, GridSpec(num=2, refine=True)),
+            re.escape(point.format(0.25)),
+        ),
+        "convolve_scaled": (
+            lambda: convolve_scaled(unit, 1.0, 1.0, f, grid),
+            re.escape("non-finite value inf at point (0.0, 1.0)"),
+        ),
+        "compose_maximal": (
+            lambda: compose_independent(
+                JointSpec((unit, unit)), BoundedLipschitzFnN(lambda x, y: _blowup(x + y), 2, 1.0), grid
+            ),
+            re.escape("non-finite value inf at point (0.0, 1.0)"),
+        ),
+        "compose_family": (
+            lambda: compose_independent(JointSpec((family,)), BoundedLipschitzFnN(_blowup, 1, 1.0), grid),
+            re.escape("non-finite value on family marginal 0 at point 1.0"),
+        ),
+        "empirical_lln": (_lln_with_blowup, r"test function returned non-finite value inf at running mean 0\.\d+$"),
+    }
+
+
+class TestOneEvaluator:
+    # every path applies test functions through scenarios._evaluate
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    @pytest.mark.parametrize(
+        "sign", [lambda x: np.copysign(1.0, x), lambda x: math.copysign(1.0, x)], ids=["numpy", "scalar_only"]
+    )
+    def test_family_compose_equals_sublinear_expect_on_signed_zeros(self, first, sign):
+        from subexp.joint import BoundedLipschitzFnN, JointSpec, compose_independent
+        from subexp.maximal import GridSpec
+
+        member = DiscreteMeasure(((first, 0.5), (-first, 0.5)))
+        fam = ScenarioFamily((member, DiscreteMeasure.dirac(0.0)))
+        want = math.copysign(1.0, first)  # equal points are evaluated once, at the first atom's
+        assert sublinear_expect(fam, sign).value == want
+        assert compose_independent(JointSpec((fam,)), BoundedLipschitzFnN(sign, 1, 0.0), GridSpec(num=3)).value == want
+        assert expect_linear(member, sign) == want
+
+    @pytest.mark.parametrize("path", list(_non_finite_cases()))
+    def test_non_finite_value_raises_evaluation_error_without_warning(self, path, recwarn):
+        call, message = _non_finite_cases()[path]
+        with pytest.raises(EvaluationError, match=message):
+            call()
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("path", ["sublinear_expect", "expect_linear", "compose_independent"])
+    def test_an_exception_raised_by_a_scalar_only_fn_propagates(self, path):
+        from subexp.joint import BoundedLipschitzFnN, JointSpec, compose_independent
+        from subexp.maximal import GridSpec
+
+        def f(x):
+            return 1.0 / float(x)
+
+        fam = ScenarioFamily((DiscreteMeasure.uniform([0.0, 2.0]),))
+        calls = {
+            "sublinear_expect": lambda: sublinear_expect(fam, f),
+            "expect_linear": lambda: expect_linear(fam.measures[0], f),
+            "compose_independent": lambda: compose_independent(
+                JointSpec((fam,)), BoundedLipschitzFnN(f, 1, 1.0), GridSpec(num=3)
+            ),
+        }
+        with pytest.raises(ZeroDivisionError):
+            calls[path]()
+
+    @pytest.mark.parametrize(
+        "path", ["sublinear_expect", "grid", "refine", "convolve_scaled", "compose_maximal", "compose_family", "lln"]
+    )
+    def test_the_scalar_fallback_passes_python_floats(self, path):
+        from subexp.joint import BoundedLipschitzFnN, JointSpec, compose_independent
+        from subexp.lln import MeanPolicy, NoiseSpec, SimConfig, empirical_lln
+        from subexp.maximal import GridSpec, MaximalDist, convolve_scaled, eval_maximal
+
+        seen = set()
+
+        def f(*xs):
+            seen.update(type(x) for x in xs if not isinstance(x, np.ndarray))
+            return math.fsum(xs)  # scalar only: an array raises TypeError
+
+        unit, grid = MaximalDist(0.0, 1.0), GridSpec(num=3)
+        f1, f2 = BoundedLipschitzFn(f, 4.0), BoundedLipschitzFnN(f, 2, 1.0)
+        fam = ScenarioFamily((DiscreteMeasure.uniform([0.0, 1.0]),))
+        calls = {
+            "sublinear_expect": lambda: sublinear_expect(fam, f),
+            "grid": lambda: eval_maximal(unit, f1, grid),
+            "refine": lambda: eval_maximal(unit, f1, GridSpec(num=3, refine=True)),
+            "convolve_scaled": lambda: convolve_scaled(unit, 1.0, 1.0, f1, grid),
+            "compose_maximal": lambda: compose_independent(JointSpec((unit, unit)), f2, grid),
+            "compose_family": lambda: compose_independent(JointSpec((fam, unit)), f2, grid),
+            "lln": lambda: empirical_lln(
+                unit, f1, [MeanPolicy.constant(0.5)], NoiseSpec.uniform(0.1), SimConfig(20, 2, 1), grid
+            ),
+        }
+        calls[path]()
+        assert seen == {float}
