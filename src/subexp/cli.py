@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -66,6 +68,17 @@ class _Parser(argparse.ArgumentParser):
 # test-function registry
 
 
+def _float_above(exact) -> float:
+    """The smallest float >= an exact rational, inf beyond the float range.
+
+    A float (the sum of a non-finite term) is returned as it is."""
+    try:
+        x = float(exact)
+    except OverflowError:
+        return math.inf
+    return math.nextafter(x, math.inf) if x < exact else x
+
+
 def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
     """Construct a named test function with a Lipschitz constant valid on
     [-radius, radius].
@@ -99,11 +112,18 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
     if name == "poly":
         if not args:
             raise CliError(EXIT_VALIDATION, "poly needs coefficients, e.g. poly:0,0,-1")
-        coeffs = args
-        lip = sum(k * abs(c) * R ** (k - 1) for k, c in enumerate(coeffs) if k >= 1)
-        bnd = sum(abs(c) * R**k for k, c in enumerate(coeffs))
+        from fractions import Fraction
 
-        def p(x, coeffs=tuple(coeffs)):
+        def exact(v):  # a non-finite value stays a float, and so does every sum it enters
+            return Fraction(v) if math.isfinite(v) else v
+
+        powers = [1]  # R**k, exactly
+        for _ in args[1:]:
+            powers.append(powers[-1] * exact(R))
+        lip = _float_above(sum(k * exact(abs(c)) * powers[k - 1] for k, c in enumerate(args) if k >= 1))
+        bnd = _float_above(sum(exact(abs(c)) * powers[k] for k, c in enumerate(args)))
+
+        def p(x, coeffs=tuple(args)):
             acc = 0.0
             for c in reversed(coeffs):
                 acc = acc * x + c
@@ -605,5 +625,20 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_INTERNAL, f"{type(exc).__name__}: {exc}")
 
 
+def _entry() -> int:
+    """Process entry point (the ``subexp`` script and ``python -m subexp.cli``).
+
+    A one-shot process builds no reference cycles worth collecting, so the
+    cyclic collector stays off while ``main`` runs, numpy's import included,
+    and everything alive afterwards is frozen, which the collection at
+    interpreter shutdown then skips.  ``main`` itself leaves ``gc`` alone,
+    since tests and benchmarks call it in process.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(_entry())

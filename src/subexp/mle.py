@@ -11,8 +11,8 @@ over a candidate grid and exists to cross-check the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .maximal import MaximalDist
@@ -33,6 +33,9 @@ class SampleSet:
     """A nonempty batch of finite real observations (order is irrelevant)."""
 
     values: tuple[float, ...]
+    # the extremes, computed once: the oracle reads them for every candidate pair
+    _min: float = field(init=False, repr=False, compare=False)
+    _max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -42,10 +45,8 @@ class SampleSet:
             if not math.isfinite(v):
                 raise ValueError(f"observation {i} is not finite: {v!r}")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[float]) -> "SampleSet":
-        return cls(tuple(values))
+        object.__setattr__(self, "_min", min(vals))
+        object.__setattr__(self, "_max", max(vals))
 
     @property
     def n(self) -> int:
@@ -53,11 +54,11 @@ class SampleSet:
 
     @property
     def min(self) -> float:
-        return min(self.values)
+        return self._min
 
     @property
     def max(self) -> float:
-        return max(self.values)
+        return self._max
 
 
 @dataclass(frozen=True)

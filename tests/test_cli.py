@@ -1,10 +1,13 @@
 import csv
+import gc
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +211,24 @@ class TestBuildFn:
         xs = np.linspace(-3, 3, 200)
         slopes = np.abs(np.diff([f(float(x)) for x in xs]) / np.diff(xs))
         assert slopes.max() <= f.lipschitz + 1e-9
+
+    def test_poly_constants_are_the_exact_sums_rounded_up(self):
+        # a plain float sum understated the Lipschitz constant of this one:
+        # 889.1893255153149 against the exact 889.189325515315...
+        coeffs = [1.5736804947476521, -2.9873636798933356, -0.3276768356711912,
+                  1.3292401940446954, -1.6274266723772841, 2.6716241733235337]
+        cases = [(coeffs, 2.7141396270733025)]
+        rng = np.random.default_rng(2000)
+        for _ in range(500):
+            cases.append((rng.uniform(-3.0, 3.0, int(rng.integers(2, 8))).tolist(), float(rng.uniform(0.1, 4.0))))
+        for coeffs, radius in cases:
+            f = cli.build_fn("poly:" + ",".join(map(repr, coeffs)), radius)
+            r = Fraction(radius)
+            lip = sum(k * abs(Fraction(c)) * r ** (k - 1) for k, c in enumerate(coeffs) if k >= 1)
+            bnd = sum(abs(Fraction(c)) * r**k for k, c in enumerate(coeffs))
+            for got, exact in ((f.lipschitz, lip), (f.bound, bnd)):
+                # the smallest float that is not below the exact value
+                assert got >= exact and math.nextafter(got, -math.inf) < exact, (coeffs, radius)
 
     def test_bad_args(self):
         with pytest.raises(cli.CliError):
@@ -731,6 +752,25 @@ class TestSingleLineErrors:
         assert message == "test function returned non-finite value at point 1.0"
 
 
+    def test_poly_power_beyond_the_float_range(self, capsys):
+        # radius**2 overflows a float; this was an OverflowError (exit 4)
+        code, out, err = run_text(capsys, ["eval", "--mu-lo=-1e200", "--mu-hi=1e200", "--fn", "poly:0,0,1",
+                                           "--points", "3"])
+        assert code == 2 and out == ""
+        assert error_line(err)["error"]["message"] == "test function returned non-finite value at point -1e+200"
+
+    @pytest.mark.parametrize("fn, message", [
+        ("poly:nan,1", "bound must be >= 0 (or inf), got nan"),
+        ("poly:1,nan", "lipschitz constant must be finite and >= 0, got nan"),
+        ("poly:inf,1", "test function returned non-finite value at point -1.0"),
+        ("poly:1,-inf,0", "lipschitz constant must be finite and >= 0, got inf"),
+    ])
+    def test_poly_with_a_non_finite_coefficient(self, capsys, fn, message):
+        code, out, err = run_text(capsys, ["eval", "--mu-lo=-1", "--mu-hi=1", "--fn", fn, "--points", "3"])
+        assert code == 2 and out == ""
+        assert error_line(err)["error"]["message"] == message
+
+
 class TestFiniteJson:
     def test_rate_with_an_overflowing_monte_carlo_mean(self):
         # run in a fresh interpreter so that a numpy warning would reach stderr
@@ -764,3 +804,85 @@ class TestFiniteJson:
         code, out, err = run_text(capsys, argv)
         assert code == 2 and out == ""
         assert error_line(err)["error"]["message"] == f"{argv[0]} result holds a non-finite number"
+
+
+
+class TestEntry:
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(21)
+        fam = [{"atoms": [[float(p), 0.2] for p in rng.uniform(-2.0, 2.0, 5)]} for _ in range(3)]
+        (tmp_path / "family.json").write_text(json.dumps(fam))
+        (tmp_path / "series.csv").write_text("".join(f"{v!r}\n" for v in rng.standard_normal(500).tolist()))
+        (tmp_path / "bad.csv").write_text("1\n2\nx\n4\n")
+        return tmp_path
+
+    # the five commands of the benchmark's cli_calls workload, a validation
+    # error (exit 2) and a data error (exit 3); paths are relative to `inputs`
+    COMMANDS = [
+        ["estimate", "--values=0.3,-1.2,2.5,0.7"],
+        ["eval", "--family", "family.json", "--fn", "abs:0.25"],
+        ["eval", "--mu-lo=-1", "--mu-hi=2", "--fn", "square"],
+        ["envelope", "--input", "series.csv", "--window", "20", "--num-windows", "50"],
+        ["rate", "--mu-lo=-1", "--mu-hi=2", "--noise", "uniform:0.5", "--n-max", "1000", "--reps", "20",
+         "--seed", "4", "--policy=constant:-1", "--policy=constant:0.5", "--policy=constant:2",
+         "--policy=periodic:-1,2"],
+        ["estimate", "--values=1,x"],
+        ["envelope", "--input", "bad.csv", "--window", "2", "--num-windows", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["estimate", "--values=0.3,1.2"], 0),
+        (["estimate", "--values=1,x"], 2),
+        (["estimate", "--input", "no-such-file.csv"], 3),
+    ])
+    def test_main_in_process_leaves_the_collector_alone(self, capsys, argv, want):
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        assert cli.main(argv) == want
+        capsys.readouterr()
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+    @pytest.mark.parametrize("argv, want", [(["estimate", "--values=0.3,1.2"], 0), (["estimate", "--values=1,x"], 2)])
+    def test_entry_runs_main_without_collections_and_freezes(self, argv, want):
+        # collections counts the collector runs: none may happen while main
+        # imports and computes; the report is the last line on stderr
+        probe = (
+            "import gc, json, sys\n"
+            "from subexp import cli\n"
+            "runs = lambda: sum(s['collections'] for s in gc.get_stats())\n"
+            "real_main, seen = cli.main, {}\n"
+            "def main():\n"
+            "    seen['enabled'] = gc.isenabled()\n"
+            "    before = runs()\n"
+            "    import numpy\n"
+            "    [[i] for i in range(100000)]  # enough allocations to trigger a collection\n"
+            "    code = real_main()\n"
+            "    seen['runs'] = runs() - before\n"
+            "    return code\n"
+            "cli.main = main\n"
+            f"sys.argv = ['subexp', *{argv!r}]\n"
+            "code = cli._entry()\n"
+            "print(json.dumps([code, seen, gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)\n"
+        )
+        out = fresh_interpreter(probe)
+        code, seen, enabled_after, frozen_after = json.loads(out.stderr.splitlines()[-1])
+        assert code == want
+        assert seen == {"enabled": False, "runs": 0}
+        assert not enabled_after and frozen_after
+
+    def test_process_output_is_byte_identical_to_main_in_process(self, capsys, monkeypatch, inputs):
+        monkeypatch.chdir(inputs)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        codes = []
+        for argv in self.COMMANDS:
+            codes.append(cli.main(list(argv)))
+            out, err = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "subexp.cli", *argv], env=env, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (codes[-1], out, err), argv
+        assert codes == [0, 0, 0, 0, 0, 2, 3]
+
+    def test_console_script_points_at_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["scripts"]["subexp"] == "subexp.cli:_entry"

@@ -53,6 +53,13 @@ class TestSampleSet:
         assert s.min == 0.3
         assert s.max == 2.5
 
+    def test_stored_extremes_stay_out_of_repr_and_equality(self):
+        s = SampleSet((2.5, 0.3, 1.2))
+        assert repr(s) == "SampleSet(values=(2.5, 0.3, 1.2))"
+        assert s == SampleSet((2.5, 0.3, 1.2)) and hash(s) == hash(SampleSet((2.5, 0.3, 1.2)))
+        with pytest.raises(AttributeError):
+            s.min = 0.0
+
 
 class TestLikelihood:
     def test_covering_interval(self):
@@ -137,6 +144,21 @@ class TestSolveMinimaxOracle:
         # 5 grid nodes -> 15 ordered pairs; the shortest covering one wins
         res = solve_minimax_oracle(SampleSet((-2.0, 2.0)), [-3.0, -2.0, 0.0, 2.0, 3.0])
         assert (res.mu_lo_hat, res.mu_hi_hat) == (-2.0, 2.0)
+
+    def test_enumerates_every_pair(self, monkeypatch):
+        from subexp import mle
+
+        pairs = []
+        real = mle.likelihood
+
+        def counted(s, lo, hi):
+            pairs.append((lo, hi))
+            return real(s, lo, hi)
+
+        monkeypatch.setattr(mle, "likelihood", counted)
+        grid = [-3.0, -2.0, -0.5, 0.0, 1.0, 2.0, 3.0]
+        solve_minimax_oracle(SampleSet((-2.0, 0.0, 2.0)), grid)
+        assert pairs == [(lo, hi) for i, lo in enumerate(grid) for hi in grid[i:]]
 
     def test_grid_must_contain_extremes(self):
         with pytest.raises(ValueError):
