@@ -22,8 +22,8 @@ reps * n; ``SimConfig`` rejects more before anything is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -179,14 +179,15 @@ class SimConfig:
             )
 
 
+def _outside(d: MaximalDist, policy: MeanPolicy, mu: float, i: int) -> SimulationError:
+    return SimulationError(f"policy {policy.label} produced mean {mu!r} at step {i}, outside [{d.mu_lo}, {d.mu_hi}]")
+
+
 def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
     bad = np.flatnonzero((mus < d.mu_lo) | (mus > d.mu_hi))
     if bad.size:
         i = int(bad[0])
-        raise SimulationError(
-            f"policy {policy.label} produced mean {float(mus[i])!r} at step {i}, "
-            f"outside [{d.mu_lo}, {d.mu_hi}]"
-        )
+        raise _outside(d, policy, float(mus[i]), i)
 
 
 def _adversarial_path(d: MaximalDist, policy: MeanPolicy, eps: np.ndarray) -> np.ndarray:
@@ -198,33 +199,83 @@ def _adversarial_path(d: MaximalDist, policy: MeanPolicy, eps: np.ndarray) -> np
         running = total / i if i else 0.0
         mu = float(callback(running))
         if not (mu_lo <= mu <= mu_hi):
-            raise SimulationError(
-                f"policy {policy.label} produced mean {mu!r} at step {i}, outside [{mu_lo}, {mu_hi}]"
-            )
+            raise _outside(d, policy, mu, i)
         xi = mu + e
         x.append(xi)
         total += xi
     return np.array(x)
 
 
-def _simulate_one(
-    d: MaximalDist, policy: MeanPolicy, noise: NoiseSpec, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    if policy.kind == "adversarial":
-        return _adversarial_path(d, policy, noise.sample(rng, n))
-    mus = policy.mean_vector(n, rng)
-    _check_means(mus, d, policy)
-    return mus + noise.sample(rng, n)
-
-
 def _rep_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(seed + r)
 
 
+def _walk(
+    d: MaximalDist,
+    policies: Sequence[MeanPolicy],
+    noise: NoiseSpec,
+    cfg: SimConfig,
+    n: int,
+    visit: Callable[[int, int, np.ndarray], None],
+) -> dict[int, tuple[int, SimulationError]]:
+    """Hand each policy's cfg.reps paths of length n, fresh arrays, to visit(p, r, path).
+
+    The only code that draws paths.  Replications run outside, policies
+    inside: a random policy draws its means, then its noise, from
+    replication r's generator; every other policy adds replication r's
+    noise vector, drawn once.  Constant and periodic mean vectors are built
+    and checked once.  A policy whose mean leaves the interval gets no
+    further paths; returns {policy index: (replication, error)} of those.
+    """
+    shared = any(pol.kind != "random" for pol in policies)
+    fixed = {}
+    failed = {}
+    for p, pol in enumerate(policies):
+        if pol.kind in ("constant", "periodic"):
+            fixed[p] = pol.mean_vector(n, None)
+            try:
+                _check_means(fixed[p], d, pol)
+            except SimulationError as exc:
+                failed[p] = (0, exc)
+    for r in range(cfg.reps):
+        if len(failed) == len(policies):
+            break
+        eps = noise.sample(_rep_rng(cfg.seed, r), n) if shared else None
+        for p, pol in enumerate(policies):
+            if p in failed:
+                continue
+            try:
+                if p in fixed:
+                    x = fixed[p] + eps
+                elif pol.kind == "adversarial":
+                    x = _adversarial_path(d, pol, eps)
+                else:
+                    rng = _rep_rng(cfg.seed, r)
+                    mus = pol.mean_vector(n, rng)
+                    _check_means(mus, d, pol)
+                    x = mus + noise.sample(rng, n)
+            except SimulationError as exc:
+                failed[p] = (r, exc)
+                continue
+            visit(p, r, x)
+    return failed
+
+
 def simulate_path(d: MaximalDist, policy: MeanPolicy, noise: NoiseSpec, cfg: SimConfig) -> np.ndarray:
-    """Simulate cfg.reps paths of length cfg.n; returns a (reps, n) array."""
-    rows = [_simulate_one(d, policy, noise, cfg.n, _rep_rng(cfg.seed, r)) for r in range(cfg.reps)]
-    return np.vstack(rows)
+    """Simulate cfg.reps paths of length cfg.n; returns a (reps, n) array.
+
+    The array holds all reps * n floats at once: up to 2 GiB under the
+    ``_MAX_DRAWS`` budget.  The experiments stream their paths instead.
+    """
+    out = np.empty((cfg.reps, cfg.n))
+
+    def visit(_p: int, r: int, x: np.ndarray) -> None:
+        out[r] = x
+
+    failed = _walk(d, [policy], noise, cfg, cfg.n, visit)
+    if failed:
+        raise failed[0][1]
+    return out
 
 
 def log_schedule(n_max: int, num: int = 10) -> list[int]:
@@ -296,21 +347,10 @@ class SimReport:
             "generator": self.generator,
             "noise": self.noise,
             "policies": list(self.policies),
-            "rows": [_row_dict(r) for r in self.rows],
-            "summary": [_row_dict(r) for r in self.max_rows()],
+            "rows": [asdict(r) for r in self.rows],
+            "summary": [asdict(r) for r in self.max_rows()],
             "violations": len(self.violations()),
         }
-
-
-def _row_dict(r: SimRow) -> dict:
-    return {
-        "n": r.n,
-        "policy_id": r.policy_id,
-        "estimate": r.estimate,
-        "target_or_bound": r.target_or_bound,
-        "gap": r.gap,
-        "stderr": r.stderr,
-    }
 
 
 def _mean_and_stderr(
@@ -337,63 +377,55 @@ def _mean_and_stderr(
     return [list(zip(m.tolist(), e.tolist())) for m, e in zip(means, se)]
 
 
-def _prefix_stats(
+def _checked_schedule(policies: Sequence[MeanPolicy], cfg: SimConfig, n_schedule: Sequence[int]) -> list[int]:
+    if not policies:
+        raise ValueError("need at least one policy")
+    schedule = list(n_schedule)
+    if not schedule:
+        raise ValueError("n_schedule must be nonempty")
+    if max(schedule) > cfg.n:
+        raise ValueError(f"schedule reaches n={max(schedule)} beyond cfg.n={cfg.n}")
+    return schedule
+
+
+def _experiment(
+    kind: str,
     d: MaximalDist,
     policies: Sequence[MeanPolicy],
     noise: NoiseSpec,
     cfg: SimConfig,
-    schedule: Sequence[int],
+    schedule: list[int],
+    targets: Sequence[float],
     transform: Callable[[np.ndarray], np.ndarray],
-) -> list[list[tuple[float, float]]]:
-    """Per policy, Monte-Carlo mean and stderr of transform(S_n / n) at each scheduled n.
+) -> SimReport:
+    """One row per (policy, scheduled n): the Monte-Carlo mean and stderr
+    of transform(S_n / n) against that n's target or bound.
 
-    Paths are streamed one replication at a time so that reps * n_max
-    never has to be materialised.  Replications run outside, policies
-    inside: only random policies draw before the noise, so every other
-    policy uses replication r's noise vector, drawn once, and the mean
-    vectors of constant and periodic policies are built and checked once.
-    ``transform`` maps the flat array of all running means in one call.
-    When policies fail, the error raised is the one a policy-by-policy
-    walk would meet first.
+    Paths stream one replication at a time, so reps * n_max floats never
+    exist at once; ``transform`` maps all running means in one call.  When
+    policies fail, the error raised is the one a policy-by-policy walk
+    would meet first.
     """
     sched = np.asarray(schedule, dtype=int)
-    n_max = int(sched.max())
     means = np.empty((len(policies), cfg.reps, len(sched)))
-    path = np.empty(n_max)
-    shared = any(pol.kind != "random" for pol in policies)
-    fixed = {}
-    failed = {}  # policy index -> (replication, error) of its first failure
-    for p, pol in enumerate(policies):
-        if pol.kind in ("constant", "periodic"):
-            fixed[p] = pol.mean_vector(n_max, None)
-            try:
-                _check_means(fixed[p], d, pol)
-            except SimulationError as exc:
-                failed[p] = (0, exc)
-    for r in range(cfg.reps):
-        eps = noise.sample(_rep_rng(cfg.seed, r), n_max) if shared else None
-        for p, pol in enumerate(policies):
-            if p in failed:
-                continue
-            try:
-                if p in fixed:
-                    x = np.add(fixed[p], eps, out=path)
-                elif pol.kind == "adversarial":
-                    x = _adversarial_path(d, pol, eps)
-                else:
-                    x = _simulate_one(d, pol, noise, n_max, _rep_rng(cfg.seed, r))
-            except SimulationError as exc:
-                failed[p] = (r, exc)
-                continue
-            np.cumsum(x, out=x)
-            means[p, r] = x[sched - 1] / sched
+
+    def visit(p: int, r: int, x: np.ndarray) -> None:
+        np.cumsum(x, out=x)
+        means[p, r] = x[sched - 1] / sched
+
+    failed = _walk(d, policies, noise, cfg, int(sched.max()), visit)
     if failed:
         # policy by policy, the transform of every earlier path came first
         p, (r, exc) = min(failed.items())
         transform(means.ravel()[: (p * cfg.reps + r) * len(sched)])
         raise exc
     acc = transform(means.ravel()).reshape(means.shape)
-    return _mean_and_stderr(acc, policies, schedule)
+    rows = [
+        SimRow(n, pol.label, est, target, est - target, se)
+        for pol, stats in zip(policies, _mean_and_stderr(acc, policies, schedule))
+        for n, target, (est, se) in zip(schedule, targets, stats)
+    ]
+    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies))
 
 
 def empirical_lln(
@@ -413,28 +445,14 @@ def empirical_lln(
     non-finite value of f at a running mean S_n/n raises EvaluationError
     naming that mean.
     """
-    if not policies:
-        raise ValueError("need at least one policy")
-    schedule = list(n_schedule) if n_schedule is not None else log_schedule(cfg.n)
-    if max(schedule) > cfg.n:
-        raise ValueError(f"schedule reaches n={max(schedule)} beyond cfg.n={cfg.n}")
+    schedule = _checked_schedule(policies, cfg, log_schedule(cfg.n) if n_schedule is None else n_schedule)
     target = eval_maximal(d, f, grid).value
 
     def transform(means: np.ndarray) -> np.ndarray:
         at = "test function returned non-finite value {!r} at running mean {!r}"
         return _evaluate(f, (means,), lambda k, v: at.format(v, float(means[k])))
 
-    rows = []
-    for pol, stats in zip(policies, _prefix_stats(d, policies, noise, cfg, schedule, transform)):
-        for n, (est, se) in zip(schedule, stats):
-            rows.append(SimRow(n, pol.label, est, target, est - target, se))
-    return SimReport(
-        kind="lln",
-        rows=tuple(rows),
-        seed=cfg.seed,
-        noise=noise.label,
-        policies=tuple(p.label for p in policies),
-    )
+    return _experiment("lln", d, policies, noise, cfg, schedule, [target] * len(schedule), transform)
 
 
 def second_moment_upper(d: MaximalDist, noise: NoiseSpec) -> float:
@@ -460,13 +478,7 @@ def rate_check(
     exceeds the bound by more than three standard errors are flagged as
     violations (:meth:`SimReport.violations`).
     """
-    if not policies:
-        raise ValueError("need at least one policy")
-    schedule = list(n_schedule)
-    if not schedule:
-        raise ValueError("n_schedule must be nonempty")
-    if max(schedule) > cfg.n:
-        raise ValueError(f"schedule reaches n={max(schedule)} beyond cfg.n={cfg.n}")
+    schedule = _checked_schedule(policies, cfg, n_schedule)
     m2 = second_moment_upper(d, noise)
 
     def transform(means: np.ndarray) -> np.ndarray:
@@ -475,15 +487,4 @@ def rate_check(
         # half-width, whose square second_moment_upper above has checked
         return np.asarray([interval_distance(d, m) ** 2 for m in means.tolist()])
 
-    rows = []
-    for pol, stats in zip(policies, _prefix_stats(d, policies, noise, cfg, schedule, transform)):
-        for n, (est, se) in zip(schedule, stats):
-            bound = m2 / n
-            rows.append(SimRow(n, pol.label, est, bound, est - bound, se))
-    return SimReport(
-        kind="rate",
-        rows=tuple(rows),
-        seed=cfg.seed,
-        noise=noise.label,
-        policies=tuple(p.label for p in policies),
-    )
+    return _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], transform)

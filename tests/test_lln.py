@@ -256,6 +256,11 @@ class TestEmpiricalLln:
                 n_schedule=[5, 20],
             )
 
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ValueError, match="n_schedule must be nonempty"):
+            empirical_lln(MaximalDist(0.0, 1.0), IDENT, [MeanPolicy.constant(0.5)], NoiseSpec.none(),
+                          SimConfig(n=10, reps=1, seed=0), GridSpec(num=3), n_schedule=[])
+
     def test_report_shape_and_columns(self):
         d = MaximalDist(0.0, 1.0)
         rep = empirical_lln(
@@ -398,6 +403,22 @@ class TestSharedNoise:
             assert rate.rows[i * k : (i + 1) * k] == rate_check(d, [pol], noise, cfg, schedule).rows
             single = empirical_lln(d, SQUARE, [pol], noise, cfg, grid, schedule)
             assert lln_rep.rows[i * k : (i + 1) * k] == single.rows
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.uniform(0.5), NoiseSpec.two_point(0.3), NoiseSpec.none()])
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    def test_rows_are_the_statistics_of_simulate_path(self, noise, reps):
+        d = MaximalDist(-1.0, 2.0)
+        cfg = SimConfig(n=120, reps=reps, seed=11)
+        schedule = [1, 2, 17, 120]
+        policies = [MIXED[0], MIXED[1], MIXED[2], CHASE]
+        rep = empirical_lln(d, IDENT, policies, noise, cfg, GridSpec(num=31), schedule)
+        k = len(schedule)
+        for i, pol in enumerate(policies):
+            sums = np.cumsum(simulate_path(d, pol, noise, cfg), axis=1)
+            for row, n in zip(rep.rows[i * k : (i + 1) * k], schedule):
+                col = sums[:, n - 1] / n
+                assert row.estimate == np.mean(col)
+                assert row.stderr == (np.std(col, ddof=1) / math.sqrt(reps) if reps > 1 else 0.0)
 
     def test_first_failing_policy_in_list_order_is_reported(self):
         # the random policy fails at some replication; the constant one before any
