@@ -22,6 +22,7 @@ reps * n; ``SimConfig`` rejects more before anything is allocated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -79,6 +80,10 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind != "none" and not (self.half_width > 0):
             raise ValueError(f"noise half-width must be positive, got {self.half_width!r}")
+        # numpy draws uniform(-a, a) through high - low = 2a, which must be finite
+        limit = sys.float_info.max / 2 if self.kind == "uniform" else sys.float_info.max
+        if self.half_width > limit:
+            raise ValueError(f"{self.kind} noise half-width must be at most {limit!r}, got {self.half_width!r}")
 
     @classmethod
     def none(cls) -> "NoiseSpec":

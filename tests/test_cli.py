@@ -738,6 +738,22 @@ class TestSingleLineErrors:
         assert code == 2
         assert error_line(err)["error"]["message"].startswith("second moment of noise two_point:1e+200 overflows")
 
+    @pytest.mark.parametrize("noise,limit", [("uniform:1e308", "8.988465674311579e+307"),
+                                             ("uniform:inf", "8.988465674311579e+307"),
+                                             ("two_point:inf", "1.7976931348623157e+308")])
+    def test_lln_with_undrawable_noise(self, capsys, noise, limit):
+        code, out, err = run_text(capsys, ["lln", "--mu-lo=0", "--mu-hi=0", "--fn", "identity", "--policy",
+                                           "constant:0", "--noise", noise, "--n-max", "3", "--reps", "1",
+                                           "--points", "3"])
+        assert code == 2 and out == ""
+        assert f"noise half-width must be at most {limit}, got" in error_line(err)["error"]["message"]
+
+    def test_lln_with_the_widest_uniform_noise(self, capsys):
+        code, obj, _ = run_json(capsys, ["lln", "--mu-lo=0", "--mu-hi=0", "--fn", "identity", "--policy",
+                                         "constant:0", "--noise", "uniform:8.988465674311579e307",
+                                         "--n-max", "1", "--reps", "1", "--points", "3"])
+        assert code == 0 and math.isfinite(obj["result"]["rows"][0]["estimate"])
+
     def test_overflow_in_a_registry_function_prints_only_the_error_line(self):
         # run in a fresh interpreter so that a numpy warning would reach stderr
         out = subprocess.run(

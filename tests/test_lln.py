@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,23 @@ class TestNoiseSpec:
     def test_labels(self):
         assert NoiseSpec.none().label == "none"
         assert NoiseSpec.uniform(0.3).label == "uniform:0.3"
+
+
+class TestNoiseLimit:
+    # numpy's uniform(-a, a) needs a finite 2a; every draw needs a finite a
+    HALF_MAX = sys.float_info.max / 2
+
+    @pytest.mark.parametrize("kind,a", [("uniform", 1e308), ("uniform", math.inf), ("two_point", math.inf)])
+    def test_undrawable_half_width_names_the_limit(self, kind, a):
+        limit = self.HALF_MAX if kind == "uniform" else sys.float_info.max
+        with pytest.raises(ValueError) as exc:
+            NoiseSpec(kind, a)
+        assert str(exc.value) == f"{kind} noise half-width must be at most {limit!r}, got {a!r}"
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.uniform(HALF_MAX), NoiseSpec.two_point(sys.float_info.max)])
+    def test_largest_half_width_draws_finite_values(self, noise):
+        x = noise.sample(np.random.default_rng(0), 1000)
+        assert np.all(np.isfinite(x)) and np.all(np.abs(x) <= noise.half_width)
 
 
 class TestMeanPolicy:
