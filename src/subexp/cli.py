@@ -501,13 +501,7 @@ def _default_rate_policies(d: MaximalDist) -> list[MeanPolicy]:
     policies = [MeanPolicy.constant(d.mu_lo), MeanPolicy.constant(mid), MeanPolicy.constant(d.mu_hi)]
     if not d.degenerate:
         policies.append(MeanPolicy.periodic((d.mu_lo, d.mu_hi)))
-    seen = set()
-    out = []
-    for p in policies:
-        if p.label not in seen:
-            seen.add(p.label)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(policies))
 
 
 def _cmd_rate(args):

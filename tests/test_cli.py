@@ -286,6 +286,14 @@ class TestRate:
         for row in obj["result"]["rows"]:
             assert row["target_or_bound"] == smu / row["n"]
 
+    @pytest.mark.parametrize("mu_hi,count", [("1.000001", 4), ("1", 1)])
+    def test_default_policies_are_distinct_by_value(self, capsys, mu_hi, count):
+        # on [1, 1.000001] the three constants share the label constant(1) but not their means
+        code, obj, _ = run_json(capsys, ["rate", "--mu-lo", "1", "--mu-hi", mu_hi, "--n-max", "10", "--reps", "3"])
+        assert code == 0
+        assert len(obj["result"]["policies"]) == count
+        assert len(obj["result"]["rows"]) == count * len(log_schedule(10))
+
     def test_adversarial_policy_rejected(self, capsys):
         for spec in ("adversarial", "adversarial:up"):
             code, _, err = run_text(
