@@ -233,15 +233,13 @@ def _walk(
     further paths; returns {policy index: (replication, error)} of those.
     """
     shared = any(pol.kind != "random" for pol in policies)
-    fixed = {}
+    fixed = {p: pol.mean_vector(n, None) for p, pol in enumerate(policies) if pol.kind in ("constant", "periodic")}
     failed = {}
-    for p, pol in enumerate(policies):
-        if pol.kind in ("constant", "periodic"):
-            fixed[p] = pol.mean_vector(n, None)
-            try:
-                _check_means(fixed[p], d, pol)
-            except SimulationError as exc:
-                failed[p] = (0, exc)
+    for p, mus in fixed.items():
+        try:
+            _check_means(mus, d, policies[p])
+        except SimulationError as exc:
+            failed[p] = (0, exc)
     for r in range(cfg.reps):
         if len(failed) == len(policies):
             break
@@ -273,11 +271,7 @@ def simulate_path(d: MaximalDist, policy: MeanPolicy, noise: NoiseSpec, cfg: Sim
     ``_MAX_DRAWS`` budget.  The experiments stream their paths instead.
     """
     out = np.empty((cfg.reps, cfg.n))
-
-    def visit(_p: int, r: int, x: np.ndarray) -> None:
-        out[r] = x
-
-    failed = _walk(d, [policy], noise, cfg, cfg.n, visit)
+    failed = _walk(d, [policy], noise, cfg, cfg.n, lambda _p, r, x: np.copyto(out[r], x))
     if failed:
         raise failed[0][1]
     return out
@@ -403,12 +397,12 @@ def _experiment(
     targets: Sequence[float],
     transform: Callable[[np.ndarray], np.ndarray],
 ) -> SimReport:
-    """One row per (policy, scheduled n): the Monte-Carlo mean and stderr
-    of transform(S_n / n) against that n's target or bound.
+    """The report of transform(S_n / n)'s Monte-Carlo mean and stderr per
+    (policy, scheduled n), against that n's target or bound.
 
     Paths stream one replication at a time, so reps * n_max floats never
-    exist at once; ``transform`` maps all running means in one call.  When
-    policies fail, the error raised is the one a policy-by-policy walk
+    exist at once; ``transform`` maps all running means in one call.  Of
+    several failures, the one raised is the one a policy-by-policy walk
     would meet first.
     """
     sched = np.asarray(schedule, dtype=int)
