@@ -7,13 +7,10 @@ of the ambiguity, so the estimates reported here are lower bounds on the
 worst case; the limit target itself comes from the maximal distribution.
 
 Determinism: replication r draws from numpy's PCG64 generator seeded with
-seed + r.  Within one replication, policies that randomise draw their
-whole mean sequence first and the noise vector second; the adversarial
-policy (which must see the running average) draws the noise vector first
-and then walks the path.  Identical configs and seeds therefore
-reproduce paths bit for bit.  Constant, periodic and adversarial policies
-draw nothing before the noise, so in one call they all see replication
-r's same noise vector, which is drawn once and shared.
+``SeedSequence(seed, spawn_key=(r,))``, the r-th child of
+``SeedSequence(seed).spawn(reps)``: replications of one seed and of
+different seeds use independent streams, each reproducible alone, and
+``_walk`` fixes the order of draws within one replication.
 
 A run may draw at most ``_MAX_DRAWS`` (2**28) observations per policy,
 reps * n; ``SimConfig`` rejects more before anything is allocated.
@@ -45,7 +42,8 @@ __all__ = [
     "log_schedule",
 ]
 
-GENERATOR_NAME = "numpy-pcg64"
+# written into every report, so output of an earlier stream rule can be told apart
+GENERATOR_NAME = "numpy-pcg64:SeedSequence(seed,spawn_key=(r,))"
 # SimConfig rejects more draws per policy (reps * n) than this, before any
 # simulation allocates or runs.
 _MAX_DRAWS = 1 << 28
@@ -212,7 +210,7 @@ def _adversarial_path(d: MaximalDist, policy: MeanPolicy, eps: np.ndarray) -> np
 
 
 def _rep_rng(seed: int, r: int) -> np.random.Generator:
-    return np.random.default_rng(seed + r)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
 
 
 def _walk(
@@ -309,7 +307,6 @@ class SimReport:
     seed: int
     noise: str
     policies: tuple[str, ...]
-    generator: str = GENERATOR_NAME
 
     CSV_COLUMNS = ("n", "policy_id", "estimate", "target_or_bound", "gap", "stderr")
 
@@ -343,7 +340,7 @@ class SimReport:
             "kind": self.kind,
             "estimate_semantics": semantics,
             "seed": self.seed,
-            "generator": self.generator,
+            "generator": GENERATOR_NAME,
             "noise": self.noise,
             "policies": list(self.policies),
             "rows": [asdict(r) for r in self.rows],

@@ -129,15 +129,23 @@ class TestSimulatePath:
         b = simulate_path(d, pol, NoiseSpec.uniform(0.3), cfg)
         assert np.array_equal(a, b)
 
-    def test_rep_streams_are_seed_offsets(self):
-        # replication r of seed s uses the generator seeded with s + r, so
-        # a later replication can be reproduced in isolation
+    def test_replication_r_uses_the_rth_spawned_child(self):
+        # the path of replication r can be rebuilt from SeedSequence(seed).spawn(reps)[r] alone
         d = MaximalDist(-1.0, 1.0)
-        pol = MeanPolicy.random_choice([-1.0, 0.0, 1.0])
-        noise = NoiseSpec.uniform(0.2)
-        full = simulate_path(d, pol, noise, SimConfig(n=32, reps=3, seed=100))
-        lone = simulate_path(d, pol, noise, SimConfig(n=32, reps=1, seed=102))
-        assert np.array_equal(full[2], lone[0])
+        means = [-1.0, 0.0, 1.0]
+        full = simulate_path(d, MeanPolicy.random_choice(means), NoiseSpec.uniform(0.2), SimConfig(n=32, reps=3, seed=100))
+        for r, child in enumerate(np.random.SeedSequence(100).spawn(3)):
+            rng = np.random.default_rng(child)
+            mus = rng.choice(np.asarray(means), size=32)
+            assert np.array_equal(full[r], mus + rng.uniform(-0.2, 0.2, 32))
+
+    def test_neighbouring_seeds_share_no_replication(self):
+        d = MaximalDist(-1.0, 1.0)
+        pol, noise = MeanPolicy.constant(0.0), NoiseSpec.uniform(0.5)
+        rows = [{row.tobytes() for row in simulate_path(d, pol, noise, SimConfig(n=8, reps=200, seed=s))}
+                for s in (0, 1)]
+        assert len(rows[0]) == len(rows[1]) == 200
+        assert not rows[0] & rows[1]
 
     def test_mean_outside_interval_names_step(self):
         d = MaximalDist(0.0, 1.0)
