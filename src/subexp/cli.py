@@ -222,7 +222,8 @@ def _column_spec(args) -> ColumnSpec:
 
 def _add_common(p: _Parser) -> None:
     p.add_argument("--config", help="flat key=value file; explicit flags override it")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (lln and rate: replication r uses SeedSequence(seed, spawn_key=(r,)))")
+    p.add_argument("--seed", type=int, default=0,
+                   help="RNG seed (lln and rate: replication r uses SeedSequence(seed, spawn_key=(r,)))")
     p.add_argument("-o", "--output", help="write here instead of stdout (atomic)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 

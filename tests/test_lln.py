@@ -131,9 +131,9 @@ class TestSimulatePath:
 
     def test_replication_r_uses_the_rth_spawned_child(self):
         # the path of replication r can be rebuilt from SeedSequence(seed).spawn(reps)[r] alone
-        d = MaximalDist(-1.0, 1.0)
         means = [-1.0, 0.0, 1.0]
-        full = simulate_path(d, MeanPolicy.random_choice(means), NoiseSpec.uniform(0.2), SimConfig(n=32, reps=3, seed=100))
+        pol = MeanPolicy.random_choice(means)
+        full = simulate_path(MaximalDist(-1.0, 1.0), pol, NoiseSpec.uniform(0.2), SimConfig(n=32, reps=3, seed=100))
         for r, child in enumerate(np.random.SeedSequence(100).spawn(3)):
             rng = np.random.default_rng(child)
             mus = rng.choice(np.asarray(means), size=32)
