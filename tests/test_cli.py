@@ -756,12 +756,6 @@ class TestSingleLineErrors:
         assert code == 2 and out == ""
         assert f"noise half-width must be at most {limit}, got" in error_line(err)["error"]["message"]
 
-    def test_lln_with_the_widest_uniform_noise(self, capsys):
-        code, obj, _ = run_json(capsys, ["lln", "--mu-lo=0", "--mu-hi=0", "--fn", "identity", "--policy",
-                                         "constant:0", "--noise", "uniform:8.988465674311579e307",
-                                         "--n-max", "1", "--reps", "1", "--points", "3"])
-        assert code == 0 and math.isfinite(obj["result"]["rows"][0]["estimate"])
-
     def test_overflow_in_a_registry_function_prints_only_the_error_line(self):
         # run in a fresh interpreter so that a numpy warning would reach stderr
         out = subprocess.run(
