@@ -12,17 +12,9 @@ same constant, so each maximal marginal contributes lipschitz * h_i / 2.
 Family marginals add nothing: the exact kernel of ``scenarios`` averages
 them, so a family-only composition equals ``sublinear_expect`` bit for bit.
 
-The product grid is never held whole.  ``compose_independent`` evaluates
-the test function in blocks of at most ``_BLOCK_CELLS`` cells (2**13) and
-reduces each block over its trailing axes before building the next, so a
-max-of-5 composition on 15 nodes per axis peaks at about 0.6 MB instead
-of about 64 MB.  The trailing axes' coordinates are the same in every
-block and are built once per call; only the leading axes' are filled per
-block.  Each run of consecutive maximal axes is reduced by one max over
-the run, each family axis by the exact kernel.  Every reduction is exact
-per entry, so neither blocking nor fusing changes a result.  A product
-grid of more than ``maximal._MAX_CELLS`` cells (2**30) is rejected before
-the test function is called.
+``compose_independent`` reduces each block of ``maximal._grid_blocks``
+before the next is built, so a max-of-5 composition on 15 nodes per axis
+peaks at about 0.6 MB instead of about 64 MB.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _check_cells, interval_distance
+from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _grid_blocks, interval_distance
 from .scenarios import BoundedLipschitzFn, ScenarioFamily, _evaluate, _expectations
 
 __all__ = [
@@ -104,20 +96,14 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
     finite suprema, with f evaluated once per distinct atom point.  The
     reported bound is the sum of the per-marginal grid certificates.
 
-    f is evaluated over the product grid in blocks of at most
-    ``_BLOCK_CELLS`` cells: the longest suffix of axes whose cell count fits
-    in one block is reduced inside each block, one float per leading row is
-    kept, and the leading axes are reduced once every block is done.  So
-    peak memory is a few arrays of one block plus one float per leading
-    row, not arity + 1 arrays of the full tensor.  Each run of consecutive
-    maximal axes is reduced by one max, and each family axis by the exact
-    kernel; both round each entry once, so the result does not depend on
-    the block size.  The coordinates of the suffix axes are the same in
-    every block, so they are filled once.  All coordinates are read-only:
-    an f that writes into its arguments is evaluated point by point.  A
-    product grid of more than ``maximal._MAX_CELLS`` cells raises
-    ValueError before f is called, and a non-finite value of f raises
-    EvaluationError naming the point.
+    Each block of ``maximal._grid_blocks`` (at most ``_BLOCK_CELLS``
+    cells) is reduced over its suffix axes to one float per leading row;
+    the leading axes are reduced after the last block.  A run of
+    consecutive maximal axes is reduced by one max, a family axis by the
+    exact kernel; both round each entry once, so the block size never
+    changes a result.  A grid of more than ``maximal._MAX_CELLS`` cells
+    raises ValueError before f is called, and a non-finite value of f
+    raises EvaluationError naming the point.
     """
     if f.arity != len(j.marginals):
         raise ValueError(f"function arity {f.arity} does not match {len(j.marginals)} marginals")
@@ -133,8 +119,6 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
         else:
             axes.append(m._points)
             atom_cols.append(m._positions)
-    shape = tuple(len(a) for a in axes)
-    _check_cells(math.prod(shape), grid, f"a composition of {len(axes)} marginals")
 
     def reduce(vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
         # axes lo..hi-1 are the trailing axes of vals; the innermost
@@ -152,22 +136,6 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
             hi = run
         return vals
 
-    split, tail = len(axes), 1  # axes[split:] are reduced inside each block
-    while split and tail * shape[split - 1] <= _BLOCK_CELLS:
-        split -= 1
-        tail *= shape[split]
-    lead_shape = shape[:split]
-    rows = math.prod(lead_shape)
-    step = min(_BLOCK_CELLS // tail, rows)
-    # each block is a run of row-major rows of the leading axes (one row when
-    # every axis is in the tail) times the whole tail
-    ones = (1,) * (len(axes) - split)
-    tail_coords = []
-    for p, a in enumerate(axes[split:]):
-        c = np.empty((step,) + shape[split:])
-        c[...] = a.reshape((1,) + ones[:p] + (-1,) + ones[p + 1 :])
-        c.flags.writeable = False
-        tail_coords.append(c)
     families = [i for i, cols in enumerate(atom_cols) if cols is not None]
 
     def describe(k: int, v: float) -> str:
@@ -177,21 +145,12 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
             return f"non-finite value on family marginal {families[-1]} at point {point[families[-1]]!r}"
         return f"non-finite value {v!r} at point {point!r}"
 
-    out = np.empty(rows)
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        coords = []
-        if split:
-            for k, idx in enumerate(np.unravel_index(np.arange(start, stop), lead_shape)):
-                c = np.empty((stop - start,) + shape[split:])
-                c[...] = axes[k][idx].reshape((-1,) + ones)
-                c.flags.writeable = False  # a write must fail before f changes any argument
-                coords.append(c)
-        coords += [c[: stop - start] for c in tail_coords]
-        vals = _evaluate(f.fn, coords, describe)
-        out[start:stop] = reduce(vals, split, len(axes))
-
-    return ComposeResult(float(reduce(out.reshape(lead_shape), 0, split)), err)
+    n, rows = len(axes), []
+    for coords in _grid_blocks(axes, _BLOCK_CELLS, grid, f"a composition of {n} marginals"):
+        split = n + 1 - coords[0].ndim  # a block is (rows,) + the shape of axes[split:]
+        rows.append(reduce(_evaluate(f.fn, coords, describe), split, n))
+    lead = np.concatenate(rows).reshape([len(a) for a in axes[:split]])
+    return ComposeResult(float(reduce(lead, 0, split)), err)
 
 
 class ProbeResult(NamedTuple):

@@ -9,13 +9,15 @@ a grid node, so the true maximum exceeds the grid maximum by at most that
 amount.  With ``GridSpec(refine=True)`` a Lipschitz branch-and-bound
 (Piyavskii 1972; Shubert 1972) subdivides the grid cells that could still
 hold a larger value and reports the largest remaining cell bound instead.
+Product grids (``convolve_scaled`` and ``joint.compose_independent``) are
+walked block by block by ``_grid_blocks``, the one place that builds them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -184,6 +186,51 @@ def _check_cells(cells: int, grid: GridSpec, what: str) -> None:
         )
 
 
+def _grid_blocks(axes: Sequence[np.ndarray], block: int, grid: GridSpec, what: str) -> Iterator[list[np.ndarray]]:
+    """The product grid of ``axes``, one read-only coordinate array per axis
+    for each row-major block of at most ``block`` cells.
+
+    The only code that walks a product grid.  A grid of more than
+    ``_MAX_CELLS`` cells raises ValueError naming ``what`` before the first
+    block.  The longest suffix of axes that fits in one block is whole in
+    every block, and is filled once; a block adds a run of row-major rows
+    of the leading axes (one row when every axis is in the suffix), so its
+    arrays have shape (rows,) + the suffix's shape.  One list is refilled
+    for every block, so a block's arrays are freed before the next block's
+    are allocated: peak memory is a few arrays of one block, not arity + 1
+    arrays of the whole grid.  All coordinates are read-only: an f that
+    writes into its arguments fails before it changes one, and is
+    evaluated point by point.
+    """
+    shape = tuple(len(a) for a in axes)
+    _check_cells(math.prod(shape), grid, what)
+    split, tail = len(shape), 1  # axes[split:] are the suffix
+    while split and tail * shape[split - 1] <= block:
+        split -= 1
+        tail *= shape[split]
+    lead_shape = shape[:split]
+    rows = math.prod(lead_shape)
+    step = min(block // tail, rows)
+    ones = (1,) * (len(shape) - split)
+    suffix, coords = [], []
+    for p, a in enumerate(axes[split:]):
+        c = np.empty((step,) + shape[split:])
+        c[...] = a.reshape((1,) + ones[:p] + (-1,) + ones[p + 1 :])
+        c.flags.writeable = False
+        suffix.append(c)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        coords.clear()
+        lead = np.unravel_index(np.arange(start, stop), lead_shape) if split else ()
+        for a, idx in zip(axes, lead):
+            c = np.empty((stop - start,) + shape[split:])
+            c[...] = a[idx].reshape((-1,) + ones)
+            c.flags.writeable = False  # a write must fail before f changes any argument
+            coords.append(c)
+        coords += [c[: stop - start] for c in suffix]
+        yield coords
+
+
 def _finite_values(f: Callable, pts: np.ndarray) -> np.ndarray:
     """f at the grid points pts, checked finite."""
     return _evaluate(f, (pts,), lambda k, v: f"test function returned non-finite value at point {float(pts.flat[k])!r}")
@@ -251,8 +298,7 @@ def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridM
     argmax = float(pts[i])
     if d.degenerate:
         return GridMax(value, argmax, 0.0)
-    h = d.width / (len(pts) - 1)
-    err = f.lipschitz * h / 2.0
+    err = f.lipschitz * grid.spacing(d) / 2.0
     if grid.refine:
         value, argmax, ub = _refine(f, pts, vals, value, argmax)
         err = max(0.0, min(err, ub - value))
@@ -286,34 +332,27 @@ def convolve_scaled(d: MaximalDist, a: float, b: float, f: BoundedLipschitzFn, g
     certificate lipschitz * (a+b) * h / 2.  The argmax pair resolves ties
     lexicographically (smallest x, then smallest xbar).  A non-finite value
     of f raises EvaluationError naming the first such point (x, xbar).
-    The box is walked in row-major blocks of at most ``_BLOCK_CELLS``
-    cells, and a box of more than ``_MAX_CELLS`` cells raises ValueError
-    before f is called.
+    The box is walked by ``_grid_blocks`` in blocks of at most
+    ``_BLOCK_CELLS`` cells, after its ``_MAX_CELLS`` budget is checked.
     """
     a = float(a)
     b = float(b)
     if a < 0 or b < 0:
         raise ValueError(f"scale factors must be nonnegative, got a={a!r}, b={b!r}")
     pts = grid.points(d)
-    n = len(pts)
-    _check_cells(n * n, grid, "convolve_scaled")
+
     def g(x, y):
         return f.fn(a * x + b * y)
 
-    best, at = -math.inf, (0, 0)
-    for start in range(0, n * n, _BLOCK_CELLS):
-        i, j = np.divmod(np.arange(start, min(start + _BLOCK_CELLS, n * n)), n)
+    best, at = -math.inf, None
+    for x, y in _grid_blocks((pts, pts), _BLOCK_CELLS, grid, "convolve_scaled"):
         vals = _evaluate(
-            g,
-            (pts[i], pts[j]),
-            lambda k, v: f"non-finite value {v!r} at point {(float(pts[i[k]]), float(pts[j[k]]))!r}",
+            g, (x, y), lambda k, v: f"non-finite value {v!r} at point {(float(x.flat[k]), float(y.flat[k]))!r}"
         )
         k = int(np.argmax(vals))
-        if vals[k] > best:  # strict: a tie keeps the earlier cell in row-major order
-            best, at = float(vals[k]), (int(i[k]), int(j[k]))
-    h = 0.0 if d.degenerate else d.width / (n - 1)
-    err = f.lipschitz * (a + b) * h / 2.0
-    return GridMax2(best, (float(pts[at[0]]), float(pts[at[1]])), err)
+        if vals.flat[k] > best:  # strict: a tie keeps the earlier cell in row-major order
+            best, at = float(vals.flat[k]), (float(x.flat[k]), float(y.flat[k]))
+    return GridMax2(best, at, f.lipschitz * (a + b) * grid.spacing(d) / 2.0)
 
 
 def interval_distance(d: MaximalDist, x: float) -> float:

@@ -18,7 +18,7 @@ from subexp.joint import (
     point_capacity,
 )
 from subexp.axioms import random_family, random_fn
-from subexp.maximal import GridSpec, MaximalDist, eval_maximal
+from subexp.maximal import GridSpec, MaximalDist, convolve_scaled, eval_maximal
 from subexp.mle import unbiasedness_check
 from subexp.scenarios import (
     BoundedLipschitzFn,
@@ -496,3 +496,40 @@ class TestCellBudget:
         f = BoundedLipschitzFnN(lambda *xs: sum(xs), 8, 1.0)
         with pytest.raises(ValueError, match=f"needs {21**8} grid cells with num=21, over the limit of {2**30}"):
             compose_independent(JointSpec((MaximalDist(0.0, 1.0),) * 8), f, GridSpec(num=21))
+
+
+class TestOneGridWalker:
+    # compose_independent on (d, d) and convolve_scaled scan the same product
+    # grid, so for f(x, y) = g(a*x + b*y) they see the same values in the same order
+    D = MaximalDist(-1.0, 2.0)
+    G = {
+        "smooth": lambda z: np.sin(3.0 * z) - 0.1 * z * z,
+        "tie": lambda z: -np.abs(z - 0.5),
+        "scalar": lambda z: math.cos(float(z)),
+        "non_finite": lambda z: np.where(z > 1.2, np.nan, z),
+    }
+
+    @pytest.mark.parametrize("case", list(G))
+    @pytest.mark.parametrize("cells", [1, 3, 7, maximal._BLOCK_CELLS])
+    @pytest.mark.parametrize("a, b, grid", [(1.0, 1.0, GridSpec(num=13)), (0.5, 2.0, GridSpec(step=0.07))])
+    def test_compose_and_convolve_agree_at_any_block_size(self, case, cells, a, b, grid, monkeypatch):
+        monkeypatch.setattr(joint, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(maximal, "_BLOCK_CELLS", cells)
+        g = self.G[case]
+        fn2 = BoundedLipschitzFnN(lambda x, y: g(a * x + b * y), 2, 4.0 * max(a, b))
+        fn1 = BoundedLipschitzFn(g, 4.0)
+
+        def both():
+            out = []
+            for run in (lambda: compose_independent(JointSpec((self.D, self.D)), fn2, grid).value,
+                        lambda: convolve_scaled(self.D, a, b, fn1, grid).value):
+                try:
+                    out.append(run())
+                except EvaluationError as exc:
+                    out.append(str(exc))
+            return out
+
+        composed, convolved = both()
+        assert composed == convolved
+        if case == "non_finite":
+            assert composed.startswith("non-finite value nan at point (")

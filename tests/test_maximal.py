@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -520,3 +521,21 @@ class TestConvolveScaledBlocks:
     def test_an_oversized_box_fails_fast(self):
         with pytest.raises(ValueError, match=re.escape(f"needs {60001**2} grid cells with step=5e-05")):
             convolve_scaled(self.D, 1.0, 1.0, IDENT, GridSpec(step=5e-5))
+
+
+class TestGridBlocks:
+    AXES = [np.arange(3.0), 10.0 * np.arange(4.0), 100.0 * np.arange(2.0)]
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 8, 9, 24, maximal._BLOCK_CELLS])
+    def test_blocks_cover_the_grid_once_in_row_major_order(self, block):
+        seen = []
+        for coords in maximal._grid_blocks(self.AXES, block, GridSpec(num=2), "a test grid"):
+            assert len(coords) == 3 and coords[0].size <= block
+            assert all(c.shape == coords[0].shape and not c.flags.writeable for c in coords)
+            seen += zip(*(c.ravel().tolist() for c in coords))
+        assert seen == list(itertools.product(*(a.tolist() for a in self.AXES)))
+
+    def test_the_budget_is_checked_before_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(maximal, "_MAX_CELLS", 23)
+        with pytest.raises(ValueError, match="^a test grid needs 24 grid cells with num=2, over the limit of 23;"):
+            next(maximal._grid_blocks(self.AXES, 7, GridSpec(num=2), "a test grid"))
