@@ -114,6 +114,12 @@ class NoiseSpec:
         return (2.0 * rng.integers(0, 2, n) - 1.0) * self.half_width
 
 
+def _label(kind: str, values: Sequence[float]) -> str:
+    """``kind(v,...)`` with each mean as ``:g`` where that text reads back as
+    the same float, else as its repr, so distinct policies get distinct labels."""
+    return kind + "(" + ",".join(f"{v:g}" if float(f"{v:g}") == v else repr(v) for v in values) + ")"
+
+
 @dataclass(frozen=True)
 class MeanPolicy:
     """Per-step mean selection inside the ambiguity interval.
@@ -132,21 +138,21 @@ class MeanPolicy:
     @classmethod
     def constant(cls, mu: float) -> "MeanPolicy":
         mu = float(mu)
-        return cls("constant", (mu,), None, f"constant({mu:g})")
+        return cls("constant", (mu,), None, _label("constant", (mu,)))
 
     @classmethod
     def periodic(cls, mus: Sequence[float]) -> "MeanPolicy":
         vals = tuple(float(m) for m in mus)
         if not vals:
             raise ValueError("periodic policy needs at least one mean")
-        return cls("periodic", vals, None, "periodic(" + ",".join(f"{v:g}" for v in vals) + ")")
+        return cls("periodic", vals, None, _label("periodic", vals))
 
     @classmethod
     def random_choice(cls, mus: Sequence[float]) -> "MeanPolicy":
         vals = tuple(float(m) for m in mus)
         if not vals:
             raise ValueError("random policy needs at least one mean")
-        return cls("random", vals, None, "random(" + ",".join(f"{v:g}" for v in vals) + ")")
+        return cls("random", vals, None, _label("random", vals))
 
     @classmethod
     def adversarial(cls, fn: Callable[[float], float], name: str = "callback") -> "MeanPolicy":
@@ -187,7 +193,7 @@ def _outside(d: MaximalDist, policy: MeanPolicy, mu: float, i: int) -> Simulatio
 
 
 def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
-    bad = np.flatnonzero((mus < d.mu_lo) | (mus > d.mu_hi))
+    bad = np.flatnonzero(~((mus >= d.mu_lo) & (mus <= d.mu_hi)))  # nan is outside too
     if bad.size:
         i = int(bad[0])
         raise _outside(d, policy, float(mus[i]), i)
@@ -380,6 +386,9 @@ def _checked_schedule(policies: Sequence[MeanPolicy], cfg: SimConfig, n_schedule
     schedule = list(n_schedule)
     if not schedule:
         raise ValueError("n_schedule must be nonempty")
+    for n in schedule:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_schedule entries must be integers >= 1, got {n!r}")
     if max(schedule) > cfg.n:
         raise ValueError(f"schedule reaches n={max(schedule)} beyond cfg.n={cfg.n}")
     return schedule

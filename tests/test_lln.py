@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -547,3 +548,59 @@ class TestNonFiniteMonteCarloStatistics:
         policies = [MeanPolicy.constant(0.0), MeanPolicy.constant(1.0)]
         assert lln._mean_and_stderr(acc, policies, [1, 5, 10]) == want
 
+
+
+class TestNanMeans:
+    D = MaximalDist(0.0, 1.0)
+    POLICIES = {
+        "constant": MeanPolicy.constant(math.nan),
+        "periodic": MeanPolicy.periodic([0.0, math.nan]),
+        "random": MeanPolicy.random_choice([0.0, math.nan]),
+    }
+
+    @pytest.mark.parametrize("kind", list(POLICIES))
+    def test_a_nan_mean_is_outside_the_interval(self, kind):
+        pol = self.POLICIES[kind]
+        pattern = rf"^policy {re.escape(pol.label)} produced mean nan at step \d+, outside \[0\.0, 1\.0\]$"
+        with pytest.raises(SimulationError, match=pattern):
+            simulate_path(self.D, pol, NoiseSpec.none(), SimConfig(n=20, reps=2, seed=0))
+        with pytest.raises(SimulationError, match=pattern):
+            rate_check(self.D, [pol], NoiseSpec.uniform(0.1), SimConfig(n=20, reps=2, seed=0), [20])
+
+    def test_the_first_nan_step_is_named(self):
+        with pytest.raises(SimulationError, match=r"produced mean nan at step 1,"):
+            simulate_path(self.D, self.POLICIES["periodic"], NoiseSpec.none(), SimConfig(n=3, reps=1, seed=0))
+
+
+class TestDistinctLabels:
+    def test_means_that_g_formatting_would_merge_get_distinct_labels(self):
+        labels = [MeanPolicy.constant(m).label for m in (1.0, 1.0000005, 1.000001)]
+        labels.append(MeanPolicy.periodic([1.0, 1.000001]).label)
+        assert labels == ["constant(1)", "constant(1.0000005)", "constant(1.000001)", "periodic(1,1.000001)"]
+
+    def test_short_form_is_kept_where_it_reads_back_exactly(self):
+        assert MeanPolicy.constant(0.0).label == "constant(0)"
+        assert MeanPolicy.constant(-0.0).label == "constant(-0)"
+        assert MeanPolicy.constant(2.5e-300).label == "constant(2.5e-300)"
+        assert MeanPolicy.random_choice([0.1, 1 / 3]).label == "random(0.1,0.3333333333333333)"
+        assert MeanPolicy.constant(math.inf).label == "constant(inf)"
+        assert MeanPolicy.constant(math.nan).label == "constant(nan)"
+
+
+class TestScheduleEntries:
+    CFG = SimConfig(n=50, reps=5, seed=0)
+
+    @pytest.mark.parametrize("schedule, bad", [([-5, 10], "-5"), ([0], "0"), ([10, 2.5], "2.5"), ([np.int64(-1)], "np.int64(-1)")])
+    def test_rate_check_rejects_entries_below_one_or_not_integers(self, schedule, bad):
+        with pytest.raises(ValueError, match=rf"n_schedule entries must be integers >= 1, got {re.escape(bad)}$"):
+            rate_check(MaximalDist(-1.0, 1.0), [MeanPolicy.constant(0.5)], NoiseSpec.uniform(0.3), self.CFG, schedule)
+
+    def test_empirical_lln_rejects_them_too(self):
+        with pytest.raises(ValueError, match=r"got -5$"):
+            empirical_lln(MaximalDist(-1.0, 1.0), IDENT, [MeanPolicy.constant(0.5)], NoiseSpec.none(), self.CFG,
+                          GridSpec(num=3), [-5, 2.5])
+
+    def test_numpy_integers_are_accepted(self):
+        report = rate_check(MaximalDist(-1.0, 1.0), [MeanPolicy.constant(0.5)], NoiseSpec.none(), self.CFG,
+                            list(np.array([1, 50])))
+        assert [row.n for row in report.rows] == [1, 50]
