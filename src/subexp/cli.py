@@ -47,9 +47,6 @@ EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-COMMANDS = ("verify-axioms", "eval", "lln", "rate", "estimate", "envelope")
-
-
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -58,7 +55,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports problems through CliError instead of exiting."""
+    """argparse that reports problems through CliError instead of exiting,
+    and takes no abbreviated flag: ``--conf`` would slip past the scan for
+    ``--config``, and ``--pol`` past the config file's ``policy`` key."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # noqa: A003 - argparse API
         raise CliError(EXIT_VALIDATION, message)
@@ -385,7 +387,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | None) -> None:
+def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]]) -> None:
     try:  # also the check for CSV output: neither format prints inf or nan
         text = json.dumps({"meta": meta, "result": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:  # a number overflowed
@@ -395,8 +397,6 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
         for key in ("version", "command", "seed", "config_digest"):
             buf.write(f"# {key}={meta[key]}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        if csv_table is None:
-            raise CliError(EXIT_VALIDATION, f"{meta['command']} has no CSV form; use --format json")
         header, rows = csv_table
         writer.writerow(header)
         writer.writerows(rows)
@@ -568,7 +568,7 @@ _HANDLERS = {
 
 def _run(argv: list[str]) -> int:
     parser = build_parser()
-    if not argv or argv[0] not in COMMANDS:
+    if not argv or argv[0] not in _HANDLERS:
         parser.parse_args(argv)  # raises CliError with a helpful message
         raise CliError(EXIT_VALIDATION, "missing command")
     command, rest = argv[0], list(argv[1:])

@@ -904,3 +904,48 @@ class TestEntry:
         with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
             project = tomllib.load(fh)["project"]
         assert project["scripts"]["subexp"] == "subexp.cli:_entry"
+
+
+class TestNanPolicyMeans:
+    @pytest.mark.parametrize("spec", ["constant:nan", "periodic:0,nan", "random:0,nan"])
+    def test_a_nan_mean_exits_2_naming_the_step(self, capsys, spec):
+        argv = ["rate", "--mu-lo", "0", "--mu-hi", "1", "--policy", spec, "--n-max", "10", "--reps", "2",
+                "--n-schedule", "10"]
+        code, out, err = run_text(capsys, argv)
+        assert code == 2 and out == ""
+        message = error_line(err)["error"]["message"]
+        assert re.fullmatch(r"policy \w+\([0-9,nan]+\) produced mean nan at step \d+, outside \[0\.0, 1\.0\]", message)
+
+
+class TestDistinctPolicyLabels:
+    def test_narrow_interval_lists_four_labels(self, capsys):
+        code, obj, _ = run_json(capsys, ["rate", "--mu-lo", "1", "--mu-hi", "1.000001", "--n-max", "10",
+                                         "--reps", "3", "--n-schedule", "10"])
+        assert code == 0
+        want = ["constant(1)", "constant(1.0000005)", "constant(1.000001)", "periodic(1,1.000001)"]
+        assert obj["result"]["policies"] == want
+        assert [row["policy_id"] for row in obj["result"]["rows"]] == want
+
+
+class TestNoAbbreviatedFlags:
+    def test_an_abbreviated_config_flag_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("values=1,2,3\n")
+        code, out, err = run_text(capsys, ["estimate", "--values", "5,6", "--conf", str(cfg)])
+        assert code == 2 and out == ""
+        assert error_line(err)["error"]["message"] == f"unrecognized arguments: --conf {cfg}"
+
+    def test_an_abbreviated_repeatable_flag_does_not_join_the_config_values(self, capsys, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("policy=constant:0\n")
+        argv = ["rate", "--config", str(cfg), "--mu-lo", "0", "--mu-hi", "1", "--pol", "constant:1",
+                "--n-max", "10", "--reps", "2", "--n-schedule", "10"]
+        code, out, err = run_text(capsys, argv)
+        assert code == 2 and out == ""
+        assert error_line(err)["error"]["message"] == "unrecognized arguments: --pol constant:1"
+
+    @pytest.mark.parametrize("argv", [["estimate", "--val", "1,2"], ["estimate", "--values", "1,2", "--form", "csv"]])
+    def test_every_flag_must_be_spelled_out(self, capsys, argv):
+        code, _, err = run_text(capsys, argv)
+        assert code == 2
+        assert error_line(err)["error"]["message"].startswith("unrecognized arguments: --")
