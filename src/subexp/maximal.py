@@ -175,17 +175,6 @@ class GridMax2(NamedTuple):
     error_bound: float
 
 
-def _check_cells(cells: int, grid: GridSpec, what: str) -> None:
-    """Reject a product grid of more than ``_MAX_CELLS`` cells, before any
-    evaluation."""
-    if cells > _MAX_CELLS:
-        spec = f"num={grid.num}" if grid.num is not None else f"step={grid.step!r}"
-        raise ValueError(
-            f"{what} needs {cells} grid cells with {spec}, over the limit of {_MAX_CELLS}; "
-            "use a larger step or fewer nodes"
-        )
-
-
 def _grid_blocks(axes: Sequence[np.ndarray], block: int, grid: GridSpec, what: str) -> Iterator[list[np.ndarray]]:
     """The product grid of ``axes``, one read-only coordinate array per axis
     for each row-major block of at most ``block`` cells.
@@ -203,7 +192,13 @@ def _grid_blocks(axes: Sequence[np.ndarray], block: int, grid: GridSpec, what: s
     evaluated point by point.
     """
     shape = tuple(len(a) for a in axes)
-    _check_cells(math.prod(shape), grid, what)
+    cells = math.prod(shape)
+    if cells > _MAX_CELLS:
+        spec = f"num={grid.num}" if grid.num is not None else f"step={grid.step!r}"
+        raise ValueError(
+            f"{what} needs {cells} grid cells with {spec}, over the limit of {_MAX_CELLS}; "
+            "use a larger step or fewer nodes"
+        )
     split, tail = len(shape), 1  # axes[split:] are the suffix
     while split and tail * shape[split - 1] <= block:
         split -= 1
