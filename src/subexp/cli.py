@@ -105,12 +105,10 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
     if name == "abs":
         c = args[0] if args else 0.0
         return BoundedLipschitzFn(lambda x: abs(x - c), 1.0, bound=R + abs(c), name=spec)
-    if name == "sin":
+    if name in ("sin", "cos"):
         w = args[0] if args else 1.0
-        return BoundedLipschitzFn(lambda x: np.sin(w * x), abs(w), bound=1.0, name=spec)
-    if name == "cos":
-        w = args[0] if args else 1.0
-        return BoundedLipschitzFn(lambda x: np.cos(w * x), abs(w), bound=1.0, name=spec)
+        wave = getattr(np, name)
+        return BoundedLipschitzFn(lambda x: wave(w * x), abs(w), bound=1.0, name=spec)
     if name == "poly":
         if not args:
             raise CliError(EXIT_VALIDATION, "poly needs coefficients, e.g. poly:0,0,-1")
@@ -230,6 +228,28 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _add_grid(p: _Parser) -> None:
+    p.add_argument("--step", type=float, help="grid spacing (default 1e-4)")
+    p.add_argument("--points", type=int, help="explicit grid node count (instead of --step)")
+
+
+def _add_columns(p: _Parser) -> None:
+    p.add_argument("--column", help="value column, 0-based index or header name (default 0)")
+    p.add_argument("--timestamp-column")
+    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+
+
+def _add_simulation(p: _Parser, n_max: int) -> None:
+    p.add_argument("--mu-lo", type=float, required=True)
+    p.add_argument("--mu-hi", type=float, required=True)
+    p.add_argument("--policy", action="append", default=None, metavar="SPEC",
+                   help="repeatable: constant:mu | periodic:a,b | random:a,b")
+    p.add_argument("--noise", default="none")
+    p.add_argument("--n-max", type=int, default=n_max)
+    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--n-schedule", help="comma-separated n values (default log-spaced)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="subexp", description="worst-case expectation toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -243,41 +263,24 @@ def build_parser() -> _Parser:
     p.add_argument("--mu-hi", type=float)
     p.add_argument("--family", help="JSON file: array of {'atoms': [[point, weight], ...]}")
     p.add_argument("--fn", required=True, help="test function, e.g. square or poly:0,0,-1")
-    p.add_argument("--step", type=float, help="grid spacing (default 1e-4)")
-    p.add_argument("--points", type=int, help="explicit grid node count (instead of --step)")
+    _add_grid(p)
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=False)
     _add_common(p)
 
     p = sub.add_parser("lln", help="empirical averages against the worst-case target")
-    p.add_argument("--mu-lo", type=float, required=True)
-    p.add_argument("--mu-hi", type=float, required=True)
+    _add_simulation(p, 1000)
     p.add_argument("--fn", required=True)
-    p.add_argument("--policy", action="append", default=None, metavar="SPEC",
-                   help="repeatable: constant:mu | periodic:a,b | random:a,b")
-    p.add_argument("--noise", default="none")
-    p.add_argument("--n-max", type=int, default=1000)
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--n-schedule", help="comma-separated n values (default log-spaced)")
-    p.add_argument("--step", type=float, help="target-evaluation grid spacing (default 1e-4)")
-    p.add_argument("--points", type=int)
+    _add_grid(p)
     _add_common(p)
 
     p = sub.add_parser("rate", help="convergence-rate check for the squared interval distance")
-    p.add_argument("--mu-lo", type=float, required=True)
-    p.add_argument("--mu-hi", type=float, required=True)
-    p.add_argument("--policy", action="append", default=None, metavar="SPEC")
-    p.add_argument("--noise", default="none")
-    p.add_argument("--n-max", type=int, default=10000)
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--n-schedule", help="comma-separated n values (default log-spaced)")
+    _add_simulation(p, 10000)
     _add_common(p)
 
     p = sub.add_parser("estimate", help="minimax interval estimate from a sample")
     p.add_argument("--input", help="CSV file of observations")
     p.add_argument("--values", help="inline comma-separated observations")
-    p.add_argument("--column", help="value column, 0-based index or header name (default 0)")
-    p.add_argument("--timestamp-column")
-    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    _add_columns(p)
     _add_common(p)
 
     p = sub.add_parser("envelope", help="rolling-window variance envelope")
@@ -286,9 +289,7 @@ def build_parser() -> _Parser:
     p.add_argument("--num-windows", type=int, required=True, help="number of windows K (>= 1)")
     p.add_argument("--demean", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--t-index", type=int, help="reference position (default: end of series)")
-    p.add_argument("--column", help="value column, 0-based index or header name (default 0)")
-    p.add_argument("--timestamp-column")
-    p.add_argument("--header", choices=("auto", "yes", "no"), default="auto")
+    _add_columns(p)
     _add_common(p)
 
     return parser
@@ -310,16 +311,8 @@ def _scan_config_path(rest: list[str]) -> str | None:
 
 
 def _subparser_actions(parser: _Parser, command: str) -> dict[str, argparse.Action]:
-    for action in parser._actions:  # noqa: SLF001 - argparse offers no public walk
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices[command]
-            table = {}
-            for act in sub._actions:
-                for opt in act.option_strings:
-                    if opt.startswith("--"):
-                        table[opt[2:]] = act
-            return table
-    raise AssertionError("subparsers not found")
+    sub = parser._subparsers._group_actions[0].choices[command]  # noqa: SLF001 - argparse offers no public walk
+    return {opt[2:]: act for opt, act in sub._option_string_actions.items() if opt.startswith("--")}
 
 
 def _config_tokens(path: str, table: dict[str, argparse.Action], user_rest: list[str]) -> list[str]:
@@ -387,7 +380,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]]) -> None:
+def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | None) -> None:
     try:  # also the check for CSV output: neither format prints inf or nan
         text = json.dumps({"meta": meta, "result": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:  # a number overflowed
@@ -397,7 +390,7 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]]) -
         for key in ("version", "command", "seed", "config_digest"):
             buf.write(f"# {key}={meta[key]}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        header, rows = csv_table
+        header, rows = csv_table or (payload, [payload.values()])
         writer.writerow(header)
         writer.writerows(rows)
         text = buf.getvalue()
@@ -408,7 +401,8 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]]) -
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (payload, csv_table, exit_code)
+# command handlers: return (payload, csv_table, exit_code); a csv_table of
+# None writes the payload's keys and values as the header and the one row
 
 
 def _load_family(path: str) -> ScenarioFamily:
@@ -432,22 +426,20 @@ def _cmd_verify_axioms(args):
 
     report = run_axiom_suite(cases=args.cases, seed=args.seed)
     payload = report.to_json_obj()
-    rows = [[c.name, repr(c.max_violation), repr(c.tolerance), c.passed] for c in report.checks]
+    rows = [[c.name, c.max_violation, c.tolerance, c.passed] for c in report.checks]
     code = EXIT_OK if report.passed else EXIT_INTERNAL
     return payload, (["check", "max_violation", "tolerance", "pass"], rows), code
 
 
-def _grid_from_args(args, default_step: float = 1e-4) -> GridSpec:
+def _grid_from_args(args) -> GridSpec:
     from .maximal import GridSpec
 
-    step = getattr(args, "step", None)
-    points = getattr(args, "points", None)
-    refine = bool(getattr(args, "refine", False))
-    if step is not None and points is not None:
+    refine = getattr(args, "refine", False)
+    if args.step is not None and args.points is not None:
         raise CliError(EXIT_VALIDATION, "give either --step or --points, not both")
-    if points is not None:
-        return GridSpec(num=points, refine=refine)
-    return GridSpec(step=step if step is not None else default_step, refine=refine)
+    if args.points is not None:
+        return GridSpec(num=args.points, refine=refine)
+    return GridSpec(step=1e-4 if args.step is None else args.step, refine=refine)
 
 
 def _cmd_eval(args):
@@ -460,9 +452,7 @@ def _cmd_eval(args):
         radius = max((abs(p) for p in fam.support()), default=1.0)
         fn = build_fn(args.fn, radius)
         res = sublinear_expect(fam, fn)
-        payload = {"value": res.value, "argmax_index": res.argmax_index, "error_bound": 0.0}
-        row = [repr(res.value), res.argmax_index, repr(0.0)]
-        return payload, (["value", "argmax_index", "error_bound"], [row]), EXIT_OK
+        return {"value": res.value, "argmax_index": res.argmax_index, "error_bound": 0.0}, None, EXIT_OK
     if args.mu_lo is None or args.mu_hi is None:
         raise CliError(EXIT_VALIDATION, "need both --mu-lo and --mu-hi")
     from .maximal import MaximalDist, eval_maximal
@@ -470,29 +460,34 @@ def _cmd_eval(args):
     d = MaximalDist(args.mu_lo, args.mu_hi)
     fn = build_fn(args.fn, max(abs(d.mu_lo), abs(d.mu_hi)))
     res = eval_maximal(d, fn, _grid_from_args(args))
-    payload = {"value": res.value, "argmax": res.argmax, "error_bound": res.error_bound}
-    row = [repr(res.value), repr(res.argmax), repr(res.error_bound)]
-    return payload, (["value", "argmax", "error_bound"], [row]), EXIT_OK
+    return {"value": res.value, "argmax": res.argmax, "error_bound": res.error_bound}, None, EXIT_OK
 
 
-def _report_csv(report) -> tuple[list, list[list]]:
-    return list(report.CSV_COLUMNS), report.csv_rows()
-
-
-def _cmd_lln(args):
-    from .lln import SimConfig, empirical_lln
+def _simulation(args, default_policies):
+    """The interval, policies, noise, ``SimConfig`` and schedule of lln and
+    rate, built in this order, so the first bad input names the error."""
+    from .lln import SimConfig, log_schedule
     from .maximal import MaximalDist
 
     d = MaximalDist(args.mu_lo, args.mu_hi)
-    if not args.policy:
-        raise CliError(EXIT_VALIDATION, "need at least one --policy")
-    policies = [_parse_policy(s) for s in args.policy]
+    policies = [_parse_policy(s) for s in args.policy] if args.policy else default_policies(d)
     noise = _parse_noise(args.noise)
     cfg = SimConfig(n=args.n_max, reps=args.reps, seed=args.seed)
-    schedule = _parse_schedule(args.n_schedule) if args.n_schedule else None
+    schedule = _parse_schedule(args.n_schedule) if args.n_schedule else log_schedule(args.n_max)
+    return d, policies, noise, cfg, schedule
+
+
+def _need_a_policy(d: MaximalDist) -> list[MeanPolicy]:
+    raise CliError(EXIT_VALIDATION, "need at least one --policy")
+
+
+def _cmd_lln(args):
+    from .lln import empirical_lln
+
+    d, policies, noise, cfg, schedule = _simulation(args, _need_a_policy)
     fn = build_fn(args.fn, max(abs(d.mu_lo), abs(d.mu_hi)) + noise.half_width)
     report = empirical_lln(d, fn, policies, noise, cfg, _grid_from_args(args), schedule)
-    return report.to_json_obj(), _report_csv(report), EXIT_OK
+    return report.to_json_obj(), (report.CSV_COLUMNS, report.csv_rows()), EXIT_OK
 
 
 def _default_rate_policies(d: MaximalDist) -> list[MeanPolicy]:
@@ -506,16 +501,10 @@ def _default_rate_policies(d: MaximalDist) -> list[MeanPolicy]:
 
 
 def _cmd_rate(args):
-    from .lln import SimConfig, log_schedule, rate_check
-    from .maximal import MaximalDist
+    from .lln import rate_check
 
-    d = MaximalDist(args.mu_lo, args.mu_hi)
-    policies = [_parse_policy(s) for s in args.policy] if args.policy else _default_rate_policies(d)
-    noise = _parse_noise(args.noise)
-    cfg = SimConfig(n=args.n_max, reps=args.reps, seed=args.seed)
-    schedule = _parse_schedule(args.n_schedule) if args.n_schedule else log_schedule(args.n_max)
-    report = rate_check(d, policies, noise, cfg, schedule)
-    return report.to_json_obj(), _report_csv(report), EXIT_OK
+    report = rate_check(*_simulation(args, _default_rate_policies))
+    return report.to_json_obj(), (report.CSV_COLUMNS, report.csv_rows()), EXIT_OK
 
 
 def _cmd_estimate(args):
@@ -534,10 +523,7 @@ def _cmd_estimate(args):
         except ValueError:
             raise CliError(EXIT_VALIDATION, f"bad --values list {args.values!r}")
     sample = SampleSet(values)
-    res = mle_estimate(sample)
-    payload = res.to_dict(n=sample.n)
-    row = [repr(res.mu_lo_hat), repr(res.mu_hi_hat), repr(res.delta), sample.n]
-    return payload, (["mu_lo_hat", "mu_hi_hat", "delta", "n"], [row]), EXIT_OK
+    return mle_estimate(sample).to_dict(n=sample.n), None, EXIT_OK
 
 
 def _cmd_envelope(args):
@@ -549,8 +535,7 @@ def _cmd_envelope(args):
     env = variance_envelope(sigmas)
     payload = env.to_dict()
     payload.update({"L": args.window, "K": args.num_windows, "demean": args.demean})
-    rows = [[j, repr(v)] for j, v in env.per_window]
-    return payload, (["j", "sigma_sq"], rows), EXIT_OK
+    return payload, (["j", "sigma_sq"], payload["per_window"]), EXIT_OK
 
 
 _HANDLERS = {
