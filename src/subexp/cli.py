@@ -133,6 +133,8 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
     if name == "indicator":
         if len(args) != 2:
             raise CliError(EXIT_VALIDATION, "indicator needs x_star and k, e.g. indicator:2,5")
+        if not math.isfinite(args[1]):
+            raise CliError(EXIT_VALIDATION, f"indicator k must be finite, got {spec!r}")
         from .joint import indicator_approx
 
         return indicator_approx(args[0], int(args[1]))
@@ -299,6 +301,20 @@ def build_parser() -> _Parser:
 # config file merging
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file; a missing or unreadable one is a data
+    error naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise CliError(EXIT_DATA, f"{what} does not exist: {path}")
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot read {what} {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_DATA, f"cannot read {what} {path}: {exc}")
+
+
 def _scan_config_path(rest: list[str]) -> str | None:
     for i, tok in enumerate(rest):
         if tok == "--config":
@@ -322,38 +338,35 @@ def _config_tokens(path: str, table: dict[str, argparse.Action], user_rest: list
     explicit flags precedence.  For repeatable options (append), file
     values are dropped entirely whenever the user passed the flag.
     """
-    if not os.path.exists(path):
-        raise CliError(EXIT_DATA, f"config file does not exist: {path}")
     user_flags = set()
     for tok in user_rest:
         if tok.startswith("--"):
             user_flags.add(tok[2:].split("=", 1)[0])
     tokens: list[str] = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(EXIT_VALIDATION, f"{path}:{ln}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key in ("config",):
-                raise CliError(EXIT_VALIDATION, f"{path}:{ln}: config files cannot nest")
-            act = table.get(key)
-            if act is None:
-                raise CliError(EXIT_VALIDATION, f"{path}:{ln}: unknown config key {key!r}")
-            if isinstance(act, argparse.BooleanOptionalAction):
-                low = value.lower()
-                if low in ("true", "1", "yes"):
-                    tokens.append(f"--{key}")
-                elif low in ("false", "0", "no"):
-                    tokens.append(f"--no-{key}")
-                else:
-                    raise CliError(EXIT_VALIDATION, f"{path}:{ln}: {key} must be true or false, got {value!r}")
-            elif key in user_flags:
-                continue  # explicit flag wins outright, including repeatables
+    for ln, line in enumerate(_read_text(path, "config file").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(EXIT_VALIDATION, f"{path}:{ln}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in ("config",):
+            raise CliError(EXIT_VALIDATION, f"{path}:{ln}: config files cannot nest")
+        act = table.get(key)
+        if act is None:
+            raise CliError(EXIT_VALIDATION, f"{path}:{ln}: unknown config key {key!r}")
+        if isinstance(act, argparse.BooleanOptionalAction):
+            low = value.lower()
+            if low in ("true", "1", "yes"):
+                tokens.append(f"--{key}")
+            elif low in ("false", "0", "no"):
+                tokens.append(f"--no-{key}")
             else:
-                tokens.extend([f"--{key}", value])
+                raise CliError(EXIT_VALIDATION, f"{path}:{ln}: {key} must be true or false, got {value!r}")
+        elif key in user_flags:
+            continue  # explicit flag wins outright, including repeatables
+        else:
+            tokens.extend([f"--{key}", value])
     return tokens
 
 
@@ -395,7 +408,10 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
         writer.writerows(rows)
         text = buf.getvalue()
     if args.output:
-        _atomic_write(args.output, text)
+        try:
+            _atomic_write(args.output, text)
+        except OSError as exc:
+            raise CliError(EXIT_VALIDATION, f"cannot write output file {args.output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -408,11 +424,9 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
 def _load_family(path: str) -> ScenarioFamily:
     from .scenarios import ScenarioFamily
 
-    if not os.path.exists(path):
-        raise CliError(EXIT_DATA, f"family file does not exist: {path}")
+    text = _read_text(path, "family file")
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_DATA, f"{path} is not valid JSON: {exc}")
     try:

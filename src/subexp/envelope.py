@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
@@ -248,11 +247,15 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     The selected columns are parsed in bulk; only when that fails are the
     rows walked one by one, to name the first bad row.
     """
-    if not os.path.exists(path):
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"input file does not exist: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader]
+    except OSError as exc:
+        raise DataError(f"cannot read input file {path}: {exc.strerror or exc}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read input file {path}: {exc}")
     names: list[str] | None = None
     if spec.needs_header():
         if not rows:

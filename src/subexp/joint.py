@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _grid_blocks, interval_distance
-from .scenarios import BoundedLipschitzFn, ScenarioFamily, _evaluate, _expectations
+from .scenarios import BoundedLipschitzFn, ScenarioFamily, _check_constants, _evaluate, _expectations
 
 __all__ = [
     "Marginal",
@@ -57,8 +57,7 @@ class BoundedLipschitzFnN:
     def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValueError(f"arity must be >= 1, got {self.arity!r}")
-        if not (self.lipschitz >= 0.0) or math.isinf(self.lipschitz):
-            raise ValueError(f"lipschitz constant must be finite and >= 0, got {self.lipschitz!r}")
+        _check_constants(self.lipschitz, self.bound)
 
     def __call__(self, *xs: float) -> float:
         return self.fn(*xs)

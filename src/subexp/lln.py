@@ -387,7 +387,7 @@ def _checked_schedule(policies: Sequence[MeanPolicy], cfg: SimConfig, n_schedule
     if not schedule:
         raise ValueError("n_schedule must be nonempty")
     for n in schedule:
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_schedule entries must be integers >= 1, got {n!r}")
     if max(schedule) > cfg.n:
         raise ValueError(f"schedule reaches n={max(schedule)} beyond cfg.n={cfg.n}")

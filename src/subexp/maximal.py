@@ -138,8 +138,8 @@ class GridSpec:
             n = self.num
         else:
             n = d.width / self.step  # may be huge or inf; counted exactly below 2**53
-            if n < 2**53:
-                n = math.ceil(n) + 1
+            if n < 2**53:  # 0 when the quotient underflows; one cell is then wide enough
+                n = max(math.ceil(n), 1) + 1
         if n > _MAX_GRID_NODES:
             count = n if isinstance(n, int) else f"{n:.3g}"
             raise ValueError(

@@ -73,13 +73,19 @@ class BoundedLipschitzFn:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not (self.lipschitz >= 0.0) or math.isinf(self.lipschitz):
-            raise ValueError(f"lipschitz constant must be finite and >= 0, got {self.lipschitz!r}")
-        if not (self.bound >= 0.0):
-            raise ValueError(f"bound must be >= 0 (or inf), got {self.bound!r}")
+        _check_constants(self.lipschitz, self.bound)
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
+
+
+def _check_constants(lipschitz: float, bound: float) -> None:
+    """The declared constants of a test function: a finite Lipschitz
+    constant >= 0 and a bound >= 0 (inf for none)."""
+    if not (lipschitz >= 0.0) or math.isinf(lipschitz):
+        raise ValueError(f"lipschitz constant must be finite and >= 0, got {lipschitz!r}")
+    if not (bound >= 0.0):
+        raise ValueError(f"bound must be >= 0 (or inf), got {bound!r}")
 
 
 def _as_finite_float(x, what: str) -> float:

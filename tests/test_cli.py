@@ -237,6 +237,10 @@ class TestBuildFn:
             cli.build_fn("sin:a", 1.0)
         with pytest.raises(cli.CliError):
             cli.build_fn("indicator:1", 1.0)
+        for spec in ("indicator:1,inf", "indicator:1,nan", "indicator:1,-inf"):
+            with pytest.raises(cli.CliError) as info:
+                cli.build_fn(spec, 1.0)
+            assert info.value.code == 2 and repr(spec) in info.value.message
 
 
 class TestRate:
@@ -949,3 +953,165 @@ class TestNoAbbreviatedFlags:
         code, _, err = run_text(capsys, argv)
         assert code == 2
         assert error_line(err)["error"]["message"].startswith("unrecognized arguments: --")
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read is a data error naming it (exit 3), and
+    an output path that cannot be written is a validation error (exit 2);
+    neither is an internal error."""
+
+    @staticmethod
+    def _not_utf8(tmp_path):
+        path = tmp_path / "latin.bin"
+        path.write_bytes(b"\xff\xfe\x00")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--fn", "square", "--family", "{}"],
+            ["estimate", "--input", "{}"],
+            ["envelope", "--window", "2", "--num-windows", "1", "--input", "{}"],
+            ["estimate", "--values", "1", "--config", "{}"],
+        ],
+    )
+    def test_a_directory_as_input(self, capsys, tmp_path, argv):
+        argv = [a.format(tmp_path) for a in argv]
+        code, out, err = run_text(capsys, argv)
+        assert code == 3 and out == ""
+        assert error_line(err)["error"]["message"].endswith(f"{tmp_path}: Is a directory")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--fn", "square", "--family", "{}"],
+            ["estimate", "--input", "{}"],
+            ["envelope", "--window", "2", "--num-windows", "1", "--input", "{}"],
+            ["estimate", "--values", "1", "--config", "{}"],
+        ],
+    )
+    def test_a_file_that_is_not_utf8(self, capsys, tmp_path, argv):
+        path = self._not_utf8(tmp_path)
+        code, out, err = run_text(capsys, [a.format(path) for a in argv])
+        assert code == 3 and out == ""
+        message = error_line(err)["error"]["message"]
+        assert message.startswith("cannot read ") and path in message and "utf-8" in message
+
+    @pytest.mark.parametrize("target", ["{}", "{}/no/such/dir/out.json"])
+    def test_an_unwritable_output_path(self, capsys, tmp_path, target):
+        target = target.format(tmp_path)
+        code, out, err = run_text(capsys, ["estimate", "--values", "1,2", "-o", target])
+        assert code == 2 and out == ""
+        assert error_line(err)["error"]["message"].startswith(f"cannot write output file {target}: ")
+        assert [p.name for p in tmp_path.iterdir()] == []  # no temporary file left behind
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--fn", "square", "--family", "/no/fam.json"], "family file does not exist: /no/fam.json"),
+            (["estimate", "--input", "/no/x.csv"], "input file does not exist: /no/x.csv"),
+            (["envelope", "--window", "2", "--num-windows", "1", "--input", "/no/x.csv"],
+             "input file does not exist: /no/x.csv"),
+            (["estimate", "--values", "1", "--config", "/no/c.cfg"], "config file does not exist: /no/c.cfg"),
+        ],
+    )
+    def test_missing_files_keep_their_messages(self, capsys, argv, message):
+        code, _, err = run_text(capsys, argv)
+        assert code == 3
+        assert error_line(err)["error"]["message"] == message
+
+
+class TestOneCellGrid:
+    """A step wider than the interval gives its two endpoints."""
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["eval", "--mu-lo", "-1", "--mu-hi", "2", "--fn", "square", "--step", "inf"], 4.0),
+            (["eval", "--mu-lo", "0", "--mu-hi", "1e-300", "--fn", "square", "--step", "1e300"], 0.0),
+        ],
+    )
+    def test_eval(self, capsys, argv, value):
+        code, obj, err = run_json(capsys, argv)
+        assert code == 0, err
+        assert obj["result"]["value"] == value
+
+    def test_lln(self, capsys):
+        argv = ["lln", "--mu-lo", "-1", "--mu-hi", "2", "--fn", "square", "--step", "inf",
+                "--policy", "constant:0", "--n-max", "5", "--reps", "2"]
+        code, obj, err = run_json(capsys, argv)
+        assert code == 0, err
+        assert {row["target_or_bound"] for row in obj["result"]["rows"]} == {4.0}
+
+
+_E = ["--mu-lo", "0", "--mu-hi", "1"]
+_LLN = ["lln", *_E, "--fn", "square", "--n-max", "20", "--reps", "2", "--points", "3"]
+
+
+class TestErrorPaths:
+    """Each CLI error path exits with its code and its one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (_LLN + ["--policy", "constant:x"], 2, "bad policy spec 'constant:x'"),
+            (_LLN + ["--policy", "constant:1,2"], 2, "constant policy needs exactly one mean, got 'constant:1,2'"),
+            (_LLN + ["--policy", "periodic"], 2, "periodic policy needs means, got 'periodic'"),
+            (_LLN + ["--policy", "random"], 2, "random policy needs means, got 'random'"),
+            (_LLN + ["--policy", "foo:1"], 2, "unknown policy kind 'foo' (constant:mu, periodic:a,b, random:a,b)"),
+            (_LLN + ["--policy", "constant:0", "--noise", "foo"], 2,
+             "unknown noise kind 'foo' (none, uniform:a, two_point:a)"),
+            (_LLN + ["--policy", "constant:0", "--n-schedule", "a,b"], 2,
+             "bad schedule 'a,b', expected comma-separated integers"),
+            (_LLN + ["--policy", "constant:0", "--n-schedule", "0,5"], 2, "schedule entries must be >= 1, got '0,5'"),
+            (_LLN, 2, "need at least one --policy"),
+            (["lln"], 2, "the following arguments are required: --mu-lo, --mu-hi, --fn"),
+            # the first bad input names the error: interval, policy, noise, config, schedule, function
+            (["lln", "--mu-lo", "1", "--mu-hi", "0", "--fn", "square"], 2, "mu_lo must not exceed mu_hi, got [1.0, 0.0]"),
+            (_LLN + ["--policy", "foo", "--noise", "foo"], 2,
+             "unknown policy kind 'foo' (constant:mu, periodic:a,b, random:a,b)"),
+            (_LLN + ["--policy", "constant:0", "--noise", "foo", "--reps", "0"], 2,
+             "unknown noise kind 'foo' (none, uniform:a, two_point:a)"),
+            (_LLN + ["--policy", "constant:0", "--reps", "0", "--n-schedule", "x"], 2, "reps must be >= 1, got 0"),
+            (_LLN + ["--policy", "constant:0", "--n-schedule", "x", "--fn", "nope"], 2,
+             "bad schedule 'x', expected comma-separated integers"),
+            (["rate", *_E, "--n-max", "20", "--reps", "2", "--policy", "random:0,x"], 2, "bad policy spec 'random:0,x'"),
+            (["rate", *_E, "--n-max", "20", "--reps", "2", "--noise", "gauss:1"], 2,
+             "unknown noise kind 'gauss' (none, uniform:a, two_point:a)"),
+            (["rate", *_E, "--n-max", "20", "--reps", "2", "--n-schedule", ","], 2,
+             "bad schedule ',', expected comma-separated integers"),
+        ],
+    )
+    def test_simulation_inputs(self, capsys, argv, code, message):
+        got, out, err = run_text(capsys, argv)
+        assert (got, out) == (code, "")
+        assert error_line(err) == {"error": {"code": code, "message": message}}
+
+    @pytest.mark.parametrize(
+        "argv, text, code, message",
+        [
+            (["estimate", "--config"], None, 2, "--config needs a file path"),
+            (["estimate", "--config={}"], "values=1,2\n", 0, None),
+            (["estimate", "--config", "{}"], "values 1,2\n", 2, "{}:1: expected key=value, got 'values 1,2'"),
+            (["eval", *_E, "--fn", "square", "--config", "{}"], "# c\nrefine = maybe\n", 2,
+             "{}:2: refine must be true or false, got 'maybe'"),
+            (["eval", "--fn", "square", "--family", "{}"], '[{"atoms": [[1, 1]]', 3, None),
+            (["eval", "--fn", "square", "--family", "{}"], '[{"atomz": 1}]', 3,
+             "{}: measure object must look like {{'atoms': [[point, weight], ...]}}, got {{'atomz': 1}}"),
+        ],
+    )
+    def test_config_and_family_files(self, capsys, tmp_path, argv, text, code, message):
+        path = tmp_path / "input.txt"
+        if text is not None:
+            path.write_text(text)
+        got, out, err = run_text(capsys, [a.format(path) for a in argv])
+        assert got == code
+        if code == 0:
+            assert err == "" and json.loads(out)["result"]["mu_hi_hat"] == 2.0
+            return
+        assert out == ""
+        line = error_line(err)["error"]["message"]
+        if message is None:  # the JSON decoder's own wording follows the path
+            assert line.startswith(f"{path} is not valid JSON: ")
+        else:
+            assert line == message.format(path)

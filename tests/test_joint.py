@@ -533,3 +533,29 @@ class TestOneGridWalker:
         assert composed == convolved
         if case == "non_finite":
             assert composed.startswith("non-finite value nan at point (")
+
+
+class TestOneCellGrid:
+    def test_compose_on_a_step_wider_than_the_interval(self):
+        f = BoundedLipschitzFnN(lambda x, y: x + y, 2, 1.0)
+        j = JointSpec((MaximalDist(0.0, 1.0), MaximalDist(-1.0, 2.0)))
+        res = compose_independent(j, f, GridSpec(step=math.inf))
+        assert res.value == 3.0
+
+
+class TestDeclaredConstants:
+    """BoundedLipschitzFnN checks its constants as BoundedLipschitzFn does."""
+
+    @pytest.mark.parametrize(
+        "lipschitz, bound, message",
+        [
+            (1.0, -1.0, "bound must be >= 0 (or inf), got -1.0"),
+            (1.0, math.nan, "bound must be >= 0 (or inf), got nan"),
+            (-1.0, 1.0, "lipschitz constant must be finite and >= 0, got -1.0"),
+            (math.inf, 1.0, "lipschitz constant must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_same_rule_and_message(self, lipschitz, bound, message):
+        for make in (lambda: BoundedLipschitzFn(abs, lipschitz, bound), lambda: BoundedLipschitzFnN(max, 2, lipschitz, bound)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()

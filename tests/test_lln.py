@@ -604,3 +604,10 @@ class TestScheduleEntries:
         report = rate_check(MaximalDist(-1.0, 1.0), [MeanPolicy.constant(0.5)], NoiseSpec.none(), self.CFG,
                             list(np.array([1, 50])))
         assert [row.n for row in report.rows] == [1, 50]
+
+
+class TestScheduleEntries:
+    @pytest.mark.parametrize("schedule", [[True], [5, True]])
+    def test_a_bool_is_not_an_integer_n(self, schedule):
+        with pytest.raises(ValueError, match="n_schedule entries must be integers >= 1"):
+            rate_check(MaximalDist(-1, 1), [MeanPolicy.constant(0.5)], NoiseSpec.uniform(0.3), SimConfig(50, 5, 0), schedule)

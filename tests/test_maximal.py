@@ -539,3 +539,24 @@ class TestGridBlocks:
         monkeypatch.setattr(maximal, "_MAX_CELLS", 23)
         with pytest.raises(ValueError, match="^a test grid needs 24 grid cells with num=2, over the limit of 23;"):
             next(maximal._grid_blocks(self.AXES, 7, GridSpec(num=2), "a test grid"))
+
+
+class TestOneCellGrid:
+    """A step wider than the interval, or one the width underflows
+    against, gives the interval's two endpoints."""
+
+    @pytest.mark.parametrize("d, step", [(MaximalDist(0.0, 1.0), math.inf), (MaximalDist(0.0, 1e-300), 1e300)])
+    def test_two_nodes(self, d, step):
+        grid = GridSpec(step=step)
+        assert grid.nodes(d) == 2
+        assert grid.points(d).tolist() == [d.mu_lo, d.mu_hi]
+        assert grid.spacing(d) == d.width <= step
+
+    def test_eval_maximal(self):
+        res = eval_maximal(MaximalDist(-1.0, 2.0), BoundedLipschitzFn(lambda x: x * x, 4.0), GridSpec(step=math.inf))
+        assert (res.value, res.argmax, res.error_bound) == (4.0, 2.0, 6.0)
+
+    def test_convolve_scaled(self):
+        f = BoundedLipschitzFn(lambda x: x, 1.0)
+        res = convolve_scaled(MaximalDist(0.0, 1.0), 1.0, 2.0, f, GridSpec(step=math.inf))
+        assert (res.value, res.argmax) == (3.0, (1.0, 1.0))
