@@ -310,7 +310,7 @@ def _read_text(path: str, what: str) -> str:
     except (FileNotFoundError, NotADirectoryError):
         raise CliError(EXIT_DATA, f"{what} does not exist: {path}")
     except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot read {what} {path}: {exc.strerror or exc}")
+        raise CliError(EXIT_DATA, f"cannot read {what} {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise CliError(EXIT_DATA, f"cannot read {what} {path}: {exc}")
 
@@ -411,7 +411,7 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
         try:
             _atomic_write(args.output, text)
         except OSError as exc:
-            raise CliError(EXIT_VALIDATION, f"cannot write output file {args.output}: {exc.strerror or exc}")
+            raise CliError(EXIT_VALIDATION, f"cannot write output file {args.output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

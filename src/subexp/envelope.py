@@ -253,7 +253,7 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"input file does not exist: {path}")
     except OSError as exc:
-        raise DataError(f"cannot read input file {path}: {exc.strerror or exc}")
+        raise DataError(f"cannot read input file {path}: {exc.strerror}")
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read input file {path}: {exc}")
     names: list[str] | None = None

@@ -955,6 +955,15 @@ class TestNoAbbreviatedFlags:
         assert error_line(err)["error"]["message"].startswith("unrecognized arguments: --")
 
 
+# every flag that names a file to read, with {} for the path
+_READERS = [
+    ["eval", "--fn", "square", "--family", "{}"],
+    ["estimate", "--input", "{}"],
+    ["envelope", "--window", "2", "--num-windows", "1", "--input", "{}"],
+    ["estimate", "--values", "1", "--config", "{}"],
+]
+
+
 class TestUnreadableFiles:
     """A file that cannot be read is a data error naming it (exit 3), and
     an output path that cannot be written is a validation error (exit 2);
@@ -966,30 +975,14 @@ class TestUnreadableFiles:
         path.write_bytes(b"\xff\xfe\x00")
         return str(path)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "--fn", "square", "--family", "{}"],
-            ["estimate", "--input", "{}"],
-            ["envelope", "--window", "2", "--num-windows", "1", "--input", "{}"],
-            ["estimate", "--values", "1", "--config", "{}"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _READERS)
     def test_a_directory_as_input(self, capsys, tmp_path, argv):
         argv = [a.format(tmp_path) for a in argv]
         code, out, err = run_text(capsys, argv)
         assert code == 3 and out == ""
         assert error_line(err)["error"]["message"].endswith(f"{tmp_path}: Is a directory")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["eval", "--fn", "square", "--family", "{}"],
-            ["estimate", "--input", "{}"],
-            ["envelope", "--window", "2", "--num-windows", "1", "--input", "{}"],
-            ["estimate", "--values", "1", "--config", "{}"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", _READERS)
     def test_a_file_that_is_not_utf8(self, capsys, tmp_path, argv):
         path = self._not_utf8(tmp_path)
         code, out, err = run_text(capsys, [a.format(path) for a in argv])

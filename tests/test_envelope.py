@@ -388,3 +388,21 @@ class TestNegativeColumnIndex:
     def test_rejected(self, kwargs):
         with pytest.raises(ValueError, match="column index must be >= 0"):
             ColumnSpec(**kwargs)
+
+
+class TestUnreadableInput:
+    """A file ``csv`` cannot read is a DataError naming it."""
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"\xff\xfe\x00", "'utf-8' codec can't decode"), (b"1\n" + b"7" * 200_000 + b"\n", "field larger than field limit")],
+    )
+    def test_names_the_file(self, tmp_path, content, reason):
+        p = tmp_path / "in.csv"
+        p.write_bytes(content)
+        with pytest.raises(DataError, match=f"^cannot read input file {p}: {reason}"):
+            ingest_csv(str(p))
+
+    def test_a_directory(self, tmp_path):
+        with pytest.raises(DataError, match=f"^cannot read input file {tmp_path}: Is a directory$"):
+            ingest_csv(str(tmp_path))
