@@ -303,7 +303,13 @@ def build_parser() -> _Parser:
 
 def _read_text(path: str, what: str) -> str:
     """The text of an input file; a missing or unreadable one is a data
-    error naming it."""
+    error naming it.
+
+    ``envelope.ingest_csv`` words its file errors the same way; keep the
+    two in step.  Config and family files are not read through envelope
+    because importing it loads numpy: ``--config`` goes with any command,
+    ``estimate --values`` included, which loads no numpy, and
+    ``eval --family`` loads no layer but scenarios."""
     try:
         with open(path) as fh:
             return fh.read()

@@ -247,7 +247,7 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     The selected columns are parsed in bulk; only when that fails are the
     rows walked one by one, to name the first bad row.
     """
-    try:
+    try:  # the messages match cli._read_text's, for config and family files
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except (FileNotFoundError, NotADirectoryError):

@@ -590,7 +590,8 @@ class TestDistinctLabels:
 class TestScheduleEntries:
     CFG = SimConfig(n=50, reps=5, seed=0)
 
-    @pytest.mark.parametrize("schedule, bad", [([-5, 10], "-5"), ([0], "0"), ([10, 2.5], "2.5"), ([np.int64(-1)], "np.int64(-1)")])
+    @pytest.mark.parametrize("schedule, bad", [([-5, 10], "-5"), ([0], "0"), ([10, 2.5], "2.5"), ([np.int64(-1)], "np.int64(-1)"),
+                                               ([True], "True"), ([5, True], "True")])
     def test_rate_check_rejects_entries_below_one_or_not_integers(self, schedule, bad):
         with pytest.raises(ValueError, match=rf"n_schedule entries must be integers >= 1, got {re.escape(bad)}$"):
             rate_check(MaximalDist(-1.0, 1.0), [MeanPolicy.constant(0.5)], NoiseSpec.uniform(0.3), self.CFG, schedule)
@@ -605,9 +606,3 @@ class TestScheduleEntries:
                             list(np.array([1, 50])))
         assert [row.n for row in report.rows] == [1, 50]
 
-
-class TestScheduleEntries:
-    @pytest.mark.parametrize("schedule", [[True], [5, True]])
-    def test_a_bool_is_not_an_integer_n(self, schedule):
-        with pytest.raises(ValueError, match="n_schedule entries must be integers >= 1"):
-            rate_check(MaximalDist(-1, 1), [MeanPolicy.constant(0.5)], NoiseSpec.uniform(0.3), SimConfig(50, 5, 0), schedule)
