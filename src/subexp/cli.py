@@ -16,8 +16,10 @@ outputs      JSON or CSV, always carrying a reproducibility header
              partial output
 config       --config FILE reads flat key=value lines; explicit flags
              win over file values, environment variables are ignored
-imports      each command imports the library layers it runs, when it
-             runs, so `estimate --values` starts without numpy
+imports      commands reach the library only through the package's public
+             names (``subexp.rate_check``); the first use of a name
+             imports its layer, so a command loads only the layers it
+             runs and `estimate --values` starts without numpy
 """
 
 from __future__ import annotations
@@ -32,15 +34,8 @@ import math
 import os
 import sys
 import tempfile
-from typing import TYPE_CHECKING
 
-from . import __version__
-
-if TYPE_CHECKING:
-    from .envelope import ColumnSpec
-    from .lln import MeanPolicy, NoiseSpec
-    from .maximal import GridSpec, MaximalDist
-    from .scenarios import BoundedLipschitzFn, ScenarioFamily
+import subexp
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -81,7 +76,7 @@ def _float_above(exact) -> float:
     return math.nextafter(x, math.inf) if x < exact else x
 
 
-def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
+def build_fn(spec: str, radius: float) -> subexp.BoundedLipschitzFn:
     """Construct a named test function with a Lipschitz constant valid on
     [-radius, radius].
 
@@ -96,19 +91,17 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
     R = float(radius)
     import numpy as np
 
-    from .scenarios import BoundedLipschitzFn
-
     if name == "identity":
-        return BoundedLipschitzFn(lambda x: x, 1.0, bound=R, name=spec)
+        return subexp.BoundedLipschitzFn(lambda x: x, 1.0, bound=R, name=spec)
     if name == "square":
-        return BoundedLipschitzFn(lambda x: x * x, 2.0 * R, bound=R * R, name=spec)
+        return subexp.BoundedLipschitzFn(lambda x: x * x, 2.0 * R, bound=R * R, name=spec)
     if name == "abs":
         c = args[0] if args else 0.0
-        return BoundedLipschitzFn(lambda x: abs(x - c), 1.0, bound=R + abs(c), name=spec)
+        return subexp.BoundedLipschitzFn(lambda x: abs(x - c), 1.0, bound=R + abs(c), name=spec)
     if name in ("sin", "cos"):
         w = args[0] if args else 1.0
         wave = getattr(np, name)
-        return BoundedLipschitzFn(lambda x: wave(w * x), abs(w), bound=1.0, name=spec)
+        return subexp.BoundedLipschitzFn(lambda x: wave(w * x), abs(w), bound=1.0, name=spec)
     if name == "poly":
         if not args:
             raise CliError(EXIT_VALIDATION, "poly needs coefficients, e.g. poly:0,0,-1")
@@ -129,15 +122,13 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
                 acc = acc * x + c
             return acc
 
-        return BoundedLipschitzFn(p, lip, bound=bnd, name=spec)
+        return subexp.BoundedLipschitzFn(p, lip, bound=bnd, name=spec)
     if name == "indicator":
         if len(args) != 2:
             raise CliError(EXIT_VALIDATION, "indicator needs x_star and k, e.g. indicator:2,5")
         if not math.isfinite(args[1]):
             raise CliError(EXIT_VALIDATION, f"indicator k must be finite, got {spec!r}")
-        from .joint import indicator_approx
-
-        return indicator_approx(args[0], int(args[1]))
+        return subexp.indicator_approx(args[0], int(args[1]))
     raise CliError(EXIT_VALIDATION, f"unknown function {name!r} (try identity, square, abs, sin, cos, poly, indicator)")
 
 
@@ -145,25 +136,21 @@ def build_fn(spec: str, radius: float) -> BoundedLipschitzFn:
 # small spec parsers
 
 
-def _parse_noise(text: str) -> NoiseSpec:
-    from .lln import NoiseSpec
-
+def _parse_noise(text: str) -> subexp.NoiseSpec:
     name, _, argstr = text.partition(":")
     try:
         if name == "none":
-            return NoiseSpec.none()
+            return subexp.NoiseSpec.none()
         if name == "uniform":
-            return NoiseSpec.uniform(float(argstr))
+            return subexp.NoiseSpec.uniform(float(argstr))
         if name == "two_point":
-            return NoiseSpec.two_point(float(argstr))
+            return subexp.NoiseSpec.two_point(float(argstr))
     except ValueError as exc:
         raise CliError(EXIT_VALIDATION, f"bad noise spec {text!r}: {exc}")
     raise CliError(EXIT_VALIDATION, f"unknown noise kind {name!r} (none, uniform:a, two_point:a)")
 
 
-def _parse_policy(text: str) -> MeanPolicy:
-    from .lln import MeanPolicy
-
+def _parse_policy(text: str) -> subexp.MeanPolicy:
     name, _, argstr = text.partition(":")
     if name == "adversarial":
         raise CliError(EXIT_VALIDATION, "adversarial policies take a callback and are library-only")
@@ -174,15 +161,15 @@ def _parse_policy(text: str) -> MeanPolicy:
     if name == "constant":
         if len(vals) != 1:
             raise CliError(EXIT_VALIDATION, f"constant policy needs exactly one mean, got {text!r}")
-        return MeanPolicy.constant(vals[0])
+        return subexp.MeanPolicy.constant(vals[0])
     if name == "periodic":
         if not vals:
             raise CliError(EXIT_VALIDATION, f"periodic policy needs means, got {text!r}")
-        return MeanPolicy.periodic(vals)
+        return subexp.MeanPolicy.periodic(vals)
     if name == "random":
         if not vals:
             raise CliError(EXIT_VALIDATION, f"random policy needs means, got {text!r}")
-        return MeanPolicy.random_choice(vals)
+        return subexp.MeanPolicy.random_choice(vals)
     raise CliError(EXIT_VALIDATION, f"unknown policy kind {name!r} (constant:mu, periodic:a,b, random:a,b)")
 
 
@@ -206,12 +193,10 @@ def _parse_column(text: str | None) -> int | str | None:
         return text
 
 
-def _column_spec(args) -> ColumnSpec:
-    from .envelope import ColumnSpec
-
+def _column_spec(args) -> subexp.ColumnSpec:
     header = {"auto": None, "yes": True, "no": False}[args.header]
     value = _parse_column(args.column)
-    return ColumnSpec(
+    return subexp.ColumnSpec(
         value=0 if value is None else value,
         timestamp=_parse_column(args.timestamp_column),
         header=header,
@@ -427,132 +412,107 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
 # None writes the payload's keys and values as the header and the one row
 
 
-def _load_family(path: str) -> ScenarioFamily:
-    from .scenarios import ScenarioFamily
-
+def _load_family(path: str) -> subexp.ScenarioFamily:
     text = _read_text(path, "family file")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_DATA, f"{path} is not valid JSON: {exc}")
     try:
-        return ScenarioFamily.from_list(obj)
+        return subexp.ScenarioFamily.from_list(obj)
     except (ValueError, TypeError) as exc:
         raise CliError(EXIT_DATA, f"{path}: {exc}")
 
 
 def _cmd_verify_axioms(args):
-    from .axioms import run_axiom_suite
-
-    report = run_axiom_suite(cases=args.cases, seed=args.seed)
+    report = subexp.run_axiom_suite(cases=args.cases, seed=args.seed)
     payload = report.to_json_obj()
     rows = [[c.name, c.max_violation, c.tolerance, c.passed] for c in report.checks]
     code = EXIT_OK if report.passed else EXIT_INTERNAL
     return payload, (["check", "max_violation", "tolerance", "pass"], rows), code
 
 
-def _grid_from_args(args) -> GridSpec:
-    from .maximal import GridSpec
-
+def _grid_from_args(args) -> subexp.GridSpec:
     refine = getattr(args, "refine", False)
     if args.step is not None and args.points is not None:
         raise CliError(EXIT_VALIDATION, "give either --step or --points, not both")
     if args.points is not None:
-        return GridSpec(num=args.points, refine=refine)
-    return GridSpec(step=1e-4 if args.step is None else args.step, refine=refine)
+        return subexp.GridSpec(num=args.points, refine=refine)
+    return subexp.GridSpec(step=1e-4 if args.step is None else args.step, refine=refine)
 
 
 def _cmd_eval(args):
     if (args.family is None) == (args.mu_lo is None and args.mu_hi is None):
         raise CliError(EXIT_VALIDATION, "give either --family or both --mu-lo and --mu-hi")
     if args.family is not None:
-        from .scenarios import sublinear_expect
-
         fam = _load_family(args.family)
         radius = max((abs(p) for p in fam.support()), default=1.0)
         fn = build_fn(args.fn, radius)
-        res = sublinear_expect(fam, fn)
+        res = subexp.sublinear_expect(fam, fn)
         return {"value": res.value, "argmax_index": res.argmax_index, "error_bound": 0.0}, None, EXIT_OK
     if args.mu_lo is None or args.mu_hi is None:
         raise CliError(EXIT_VALIDATION, "need both --mu-lo and --mu-hi")
-    from .maximal import MaximalDist, eval_maximal
-
-    d = MaximalDist(args.mu_lo, args.mu_hi)
+    d = subexp.MaximalDist(args.mu_lo, args.mu_hi)
     fn = build_fn(args.fn, max(abs(d.mu_lo), abs(d.mu_hi)))
-    res = eval_maximal(d, fn, _grid_from_args(args))
+    res = subexp.eval_maximal(d, fn, _grid_from_args(args))
     return {"value": res.value, "argmax": res.argmax, "error_bound": res.error_bound}, None, EXIT_OK
 
 
 def _simulation(args, default_policies):
     """The interval, policies, noise, ``SimConfig`` and schedule of lln and
     rate, built in this order, so the first bad input names the error."""
-    from .lln import SimConfig, log_schedule
-    from .maximal import MaximalDist
-
-    d = MaximalDist(args.mu_lo, args.mu_hi)
+    d = subexp.MaximalDist(args.mu_lo, args.mu_hi)
     policies = [_parse_policy(s) for s in args.policy] if args.policy else default_policies(d)
     noise = _parse_noise(args.noise)
-    cfg = SimConfig(n=args.n_max, reps=args.reps, seed=args.seed)
-    schedule = _parse_schedule(args.n_schedule) if args.n_schedule else log_schedule(args.n_max)
+    cfg = subexp.SimConfig(n=args.n_max, reps=args.reps, seed=args.seed)
+    schedule = _parse_schedule(args.n_schedule) if args.n_schedule else subexp.log_schedule(args.n_max)
     return d, policies, noise, cfg, schedule
 
 
-def _need_a_policy(d: MaximalDist) -> list[MeanPolicy]:
+def _need_a_policy(d: subexp.MaximalDist) -> list[subexp.MeanPolicy]:
     raise CliError(EXIT_VALIDATION, "need at least one --policy")
 
 
 def _cmd_lln(args):
-    from .lln import empirical_lln
-
     d, policies, noise, cfg, schedule = _simulation(args, _need_a_policy)
     fn = build_fn(args.fn, max(abs(d.mu_lo), abs(d.mu_hi)) + noise.half_width)
-    report = empirical_lln(d, fn, policies, noise, cfg, _grid_from_args(args), schedule)
+    report = subexp.empirical_lln(d, fn, policies, noise, cfg, _grid_from_args(args), schedule)
     return report.to_json_obj(), (report.CSV_COLUMNS, report.csv_rows()), EXIT_OK
 
 
-def _default_rate_policies(d: MaximalDist) -> list[MeanPolicy]:
-    from .lln import MeanPolicy
-
+def _default_rate_policies(d: subexp.MaximalDist) -> list[subexp.MeanPolicy]:
     mid = (d.mu_lo + d.mu_hi) / 2.0
-    policies = [MeanPolicy.constant(d.mu_lo), MeanPolicy.constant(mid), MeanPolicy.constant(d.mu_hi)]
+    policies = [subexp.MeanPolicy.constant(d.mu_lo), subexp.MeanPolicy.constant(mid), subexp.MeanPolicy.constant(d.mu_hi)]
     if not d.degenerate:
-        policies.append(MeanPolicy.periodic((d.mu_lo, d.mu_hi)))
+        policies.append(subexp.MeanPolicy.periodic((d.mu_lo, d.mu_hi)))
     return list(dict.fromkeys(policies))
 
 
 def _cmd_rate(args):
-    from .lln import rate_check
-
-    report = rate_check(*_simulation(args, _default_rate_policies))
+    report = subexp.rate_check(*_simulation(args, _default_rate_policies))
     return report.to_json_obj(), (report.CSV_COLUMNS, report.csv_rows()), EXIT_OK
 
 
 def _cmd_estimate(args):
     if (args.input is None) == (args.values is None):
         raise CliError(EXIT_VALIDATION, "give exactly one of --input or --values")
-    from .mle import SampleSet, mle_estimate
-
     if args.input is not None:
-        from .envelope import ingest_csv
-
-        series = ingest_csv(args.input, _column_spec(args))
+        series = subexp.ingest_csv(args.input, _column_spec(args))
         values = series.values
     else:
         try:
             values = tuple(float(v) for v in args.values.split(","))
         except ValueError:
             raise CliError(EXIT_VALIDATION, f"bad --values list {args.values!r}")
-    sample = SampleSet(values)
-    return mle_estimate(sample).to_dict(n=sample.n), None, EXIT_OK
+    sample = subexp.SampleSet(values)
+    return subexp.mle_estimate(sample).to_dict(n=sample.n), None, EXIT_OK
 
 
 def _cmd_envelope(args):
-    from .envelope import EnvelopeConfig, ingest_csv, rolling_local_variance, variance_envelope
-
-    series = ingest_csv(args.input, _column_spec(args))
-    cfg = EnvelopeConfig(window=args.window, num_windows=args.num_windows, demean=args.demean)
-    sigmas = rolling_local_variance(series, cfg, args.t_index)
-    env = variance_envelope(sigmas)
+    series = subexp.ingest_csv(args.input, _column_spec(args))
+    cfg = subexp.EnvelopeConfig(window=args.window, num_windows=args.num_windows, demean=args.demean)
+    sigmas = subexp.rolling_local_variance(series, cfg, args.t_index)
+    env = subexp.variance_envelope(sigmas)
     payload = env.to_dict()
     payload.update({"L": args.window, "K": args.num_windows, "demean": args.demean})
     return payload, (["j", "sigma_sq"], payload["per_window"]), EXIT_OK
@@ -583,7 +543,7 @@ def _run(argv: list[str]) -> int:
         rest = _config_tokens(cfg_path, table, rest) + rest
     args = parser.parse_args([command] + rest)
     meta = {
-        "version": __version__,
+        "version": subexp.__version__,
         "command": command,
         "seed": args.seed,
         "config_digest": _config_digest(args),

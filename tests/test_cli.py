@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import io
@@ -735,6 +736,30 @@ class TestImportBudget:
         code, _, err = run_text(capsys, ["lln", "--mu-lo=-1", "--mu-hi=2", "--fn", "square",
                                          "--policy", "constant:5", "--n-max", "10", "--reps", "2"])
         assert code == 2 and "outside" in error_line(err)["error"]["message"]
+
+
+class TestPublicNamesOnly:
+    # the CLI reaches the library through the package's public names, so
+    # subexp._EXPORTS is the one table that says which layer a name loads
+    TREE = ast.parse(Path(cli.__file__).read_text())
+
+    def test_every_library_name_is_exported(self):
+        import subexp
+
+        used = {
+            node.attr
+            for node in ast.walk(self.TREE)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "subexp"
+        }
+        assert used and used <= set(subexp.__all__)
+
+    def test_no_layer_is_imported_by_name(self):
+        imports = [node for node in ast.walk(self.TREE) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert not [node.module for node in imports if isinstance(node, ast.ImportFrom) and node.level > 0]
+        modules = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+        modules |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+        assert not [m for m in modules if m.split(".")[0] == "subexp" and m != "subexp"]
+        assert "typing" not in modules  # no TYPE_CHECKING block
 
 
 class TestSingleLineErrors:
