@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -88,6 +89,9 @@ def build_fn(spec: str, radius: float) -> subexp.BoundedLipschitzFn:
         args = [float(a) for a in argstr.split(",")] if argstr else []
     except ValueError:
         raise CliError(EXIT_VALIDATION, f"bad numeric arguments in function spec {spec!r}")
+    most = {"identity": 0, "square": 0, "abs": 1, "sin": 1, "cos": 1}.get(name)
+    if most is not None and len(args) > most:
+        raise CliError(EXIT_VALIDATION, f"too many arguments in function spec {spec!r}")
     R = float(radius)
     import numpy as np
 
@@ -126,8 +130,8 @@ def build_fn(spec: str, radius: float) -> subexp.BoundedLipschitzFn:
     if name == "indicator":
         if len(args) != 2:
             raise CliError(EXIT_VALIDATION, "indicator needs x_star and k, e.g. indicator:2,5")
-        if not math.isfinite(args[1]):
-            raise CliError(EXIT_VALIDATION, f"indicator k must be finite, got {spec!r}")
+        if not args[1].is_integer():
+            raise CliError(EXIT_VALIDATION, f"indicator k must be a whole number, got {spec!r}")
         return subexp.indicator_approx(args[0], int(args[1]))
     raise CliError(EXIT_VALIDATION, f"unknown function {name!r} (try identity, square, abs, sin, cos, poly, indicator)")
 
@@ -137,9 +141,11 @@ def build_fn(spec: str, radius: float) -> subexp.BoundedLipschitzFn:
 
 
 def _parse_noise(text: str) -> subexp.NoiseSpec:
-    name, _, argstr = text.partition(":")
+    name, colon, argstr = text.partition(":")
     try:
         if name == "none":
+            if colon:
+                raise ValueError("none takes no argument")
             return subexp.NoiseSpec.none()
         if name == "uniform":
             return subexp.NoiseSpec.uniform(float(argstr))
@@ -372,12 +378,28 @@ def _config_digest(args: argparse.Namespace) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".subexp-")
+    """Replace the file ``path`` names, through any symlinks, in one rename.
+
+    A new file gets mode 0666 minus the umask and a replaced one keeps its
+    mode; a target that is not a regular file (a directory, a FIFO, a
+    device) is refused before anything is written."""
+    target = os.path.realpath(path)
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            raise CliError(EXIT_VALIDATION, f"cannot write output file {path}: not a regular file")
+        mode = stat.S_IMODE(st.st_mode)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".subexp-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

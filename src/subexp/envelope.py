@@ -67,7 +67,10 @@ class TimeSeries:
             vals = None
         if vals is None or not np.isfinite(vals).all():
             for i, v in enumerate(self.values):  # name the first bad entry
-                fv = float(v)
+                try:
+                    fv = float(v)
+                except (TypeError, ValueError):
+                    raise DataError(f"observation {i} is not a number: {v!r}") from None
                 if not math.isfinite(fv):
                     raise DataError(f"observation {i} is not finite: {fv!r}; missing values are not imputed")
         object.__setattr__(self, "values", vals)

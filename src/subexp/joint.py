@@ -185,9 +185,13 @@ def indicator_approx(x_star: float, k: int) -> BoundedLipschitzFn:
     Lipschitz constant k and bound 1, and decreases pointwise to the
     indicator as k grows.
     """
-    k = int(k)
-    if k < 1:
+    try:
+        whole = int(k)
+    except (OverflowError, ValueError):  # inf or nan
+        whole = 0
+    if whole != k or whole < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
+    k = whole
     xs = float(x_star)
     return BoundedLipschitzFn(
         fn=lambda x: 1.0 / (1.0 + k * abs(x - xs)),

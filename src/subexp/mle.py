@@ -40,10 +40,16 @@ class SampleSet:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sample set must be nonempty")
-        vals = tuple(float(v) for v in self.values)
-        for i, v in enumerate(vals):
+        vals = []
+        for i, v in enumerate(self.values):
+            try:
+                v = float(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"observation {i} is not a number: {v!r}") from None
             if not math.isfinite(v):
                 raise ValueError(f"observation {i} is not finite: {v!r}")
+            vals.append(v)
+        vals = tuple(vals)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_min", min(vals))
         object.__setattr__(self, "_max", max(vals))

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -1098,6 +1099,9 @@ class TestErrorPaths:
              "unknown noise kind 'gauss' (none, uniform:a, two_point:a)"),
             (["rate", *_E, "--n-max", "20", "--reps", "2", "--n-schedule", ","], 2,
              "bad schedule ',', expected comma-separated integers"),
+            (_LLN + ["--policy", "constant:0", "--noise", "none:5"], 2, "bad noise spec 'none:5': none takes no argument"),
+            (["rate", *_E, "--n-max", "20", "--reps", "2", "--noise", "none:"], 2,
+             "bad noise spec 'none:': none takes no argument"),
         ],
     )
     def test_simulation_inputs(self, capsys, argv, code, message):
@@ -1133,3 +1137,116 @@ class TestErrorPaths:
             assert line.startswith(f"{path} is not valid JSON: ")
         else:
             assert line == message.format(path)
+
+
+class TestSpecArguments:
+    """Every argument of a function spec is used or refused."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", *_E, "--fn", "indicator:0.5,2.9"], "indicator k must be a whole number, got 'indicator:0.5,2.9'"),
+            (["eval", *_E, "--fn", "indicator:1,0.5"], "indicator k must be a whole number, got 'indicator:1,0.5'"),
+            (["eval", *_E, "--fn", "indicator:1,inf"], "indicator k must be a whole number, got 'indicator:1,inf'"),
+            (["eval", *_E, "--fn", "identity:5"], "too many arguments in function spec 'identity:5'"),
+            (["eval", *_E, "--fn", "square:1,2"], "too many arguments in function spec 'square:1,2'"),
+            (["eval", *_E, "--fn", "abs:1,2"], "too many arguments in function spec 'abs:1,2'"),
+            (["eval", *_E, "--fn", "sin:1,2,3"], "too many arguments in function spec 'sin:1,2,3'"),
+            (["eval", *_E, "--fn", "cos:1,2"], "too many arguments in function spec 'cos:1,2'"),
+        ],
+    )
+    def test_refused(self, capsys, argv, message):
+        code, out, err = run_text(capsys, argv)
+        assert (code, out) == (2, "")
+        assert error_line(err) == {"error": {"code": 2, "message": message}}
+
+    @pytest.mark.parametrize("spec", ["indicator:0.5,4.0", "identity:", "abs:0.5", "cos:2"])
+    def test_accepted(self, capsys, spec):
+        code, obj, err = run_json(capsys, ["eval", *_E, "--fn", spec, "--points", "5"])
+        assert code == 0 and err == ""
+        assert obj["result"]["value"] == eval_maximal(MaximalDist(0.0, 1.0), cli.build_fn(spec, 1.0), GridSpec(num=5)).value
+
+
+class TestConfigAndHeaderSettings:
+    def test_a_true_boolean_key_sets_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("refine = True\npoints = 7\n")
+        code, obj, _ = run_json(capsys, ["eval", *_E, "--fn", "square", "--config", str(cfg)])
+        want = eval_maximal(MaximalDist(0.0, 1.0), cli.build_fn("square", 1.0), GridSpec(num=7, refine=True))
+        assert code == 0 and obj["result"]["error_bound"] == want.error_bound
+
+    @pytest.mark.parametrize("header, text", [("yes", "r\n1\n3\n2\n"), ("no", "1\n3\n2\n")])
+    def test_an_explicit_header_setting(self, capsys, tmp_path, header, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        code, obj, _ = run_json(capsys, ["estimate", "--input", str(path), "--header", header])
+        assert code == 0 and (obj["result"]["mu_lo_hat"], obj["result"]["mu_hi_hat"], obj["result"]["n"]) == (1.0, 3.0, 3)
+
+
+class TestOutputTarget:
+    """``-o`` replaces the file the path names, keeps links, and refuses
+    anything that is not a regular file."""
+
+    ARGV = ["estimate", "--values", "1,2"]
+
+    @staticmethod
+    def _no_temp_files(*dirs):
+        return not [p for d in dirs for p in os.listdir(d) if p.startswith(".subexp-")]
+
+    def test_a_symlink_is_written_through(self, capsys, tmp_path):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "result.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(os.path.join("data", "result.json"))
+        assert cli.main([*self.ARGV, "-o", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink() and os.readlink(link) == os.path.join("data", "result.json")
+        assert json.loads(target.read_text())["result"]["mu_hi_hat"] == 2.0
+        assert self._no_temp_files(tmp_path, tmp_path / "data")
+
+    def test_a_dangling_symlink_creates_its_target(self, capsys, tmp_path):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "new.json")
+        assert cli.main([*self.ARGV, "-o", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink() and json.loads((tmp_path / "new.json").read_text())["result"]["n"] == 2
+
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_a_fifo_is_refused_before_anything_is_written(self, capsys, tmp_path, via_link):
+        fifo = tmp_path / "pipe.fifo"
+        os.mkfifo(fifo)
+        path = fifo
+        if via_link:
+            path = tmp_path / "link"
+            path.symlink_to(fifo)
+        code, out, err = run_text(capsys, [*self.ARGV, "-o", str(path)])
+        assert (code, out) == (2, "")
+        assert error_line(err)["error"]["message"] == f"cannot write output file {path}: not a regular file"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert self._no_temp_files(tmp_path)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o027, 0o640)])
+    def test_a_new_file_gets_0666_minus_the_umask(self, capsys, tmp_path, umask, mode):
+        out = tmp_path / "result.json"
+        old = os.umask(umask)
+        try:
+            assert cli.main([*self.ARGV, "-o", str(out)]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o664])
+    def test_a_replaced_file_keeps_its_mode(self, capsys, tmp_path, mode):
+        out = tmp_path / "result.json"
+        out.write_text("old\n")
+        out.chmod(mode)
+        old = os.umask(0o077)
+        try:
+            assert cli.main([*self.ARGV, "-o", str(out)]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert json.loads(out.read_text())["result"]["n"] == 2
