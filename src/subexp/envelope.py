@@ -21,10 +21,12 @@ selector, so none is provided.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,19 +65,29 @@ class TimeSeries:
             raise DataError("time series must be nonempty")
         try:
             vals = tuple(map(float, self.values))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             vals = None
-        if vals is None or not np.isfinite(vals).all():
+        if vals is None or not all(map(math.isfinite, vals)):
             for i, v in enumerate(self.values):  # name the first bad entry
                 try:
                     fv = float(v)
                 except (TypeError, ValueError):
                     raise DataError(f"observation {i} is not a number: {v!r}") from None
+                except OverflowError:  # an int too large for a float
+                    raise DataError(f"observation {i} is not finite: {v!r}; missing values are not imputed") from None
                 if not math.isfinite(fv):
                     raise DataError(f"observation {i} is not finite: {fv!r}; missing values are not imputed")
         object.__setattr__(self, "values", vals)
         if self.timestamps is not None:
-            ts = tuple(map(float, self.timestamps))
+            try:
+                ts = tuple(map(float, self.timestamps))
+            except (TypeError, ValueError, OverflowError):
+                for i, v in enumerate(self.timestamps):  # name the first bad entry
+                    try:
+                        float(v)
+                    except (TypeError, ValueError, OverflowError):
+                        raise DataError(f"timestamp {i} is not a number: {v!r}") from None
+                raise
             if len(ts) != len(vals):
                 raise DataError(f"{len(ts)} timestamps for {len(vals)} values")
             arr = np.asarray(ts)
@@ -232,12 +244,40 @@ def _validate_rows(rows: list[list[str]], v_idx: int, t_idx: int | None) -> tupl
     return values, stamps
 
 
-def _bulk_column(rows: list[list[str]], idx: int) -> list[float]:
-    """One column parsed in bulk; raises ValueError or IndexError on any bad cell."""
-    vals = list(map(float, map(itemgetter(idx), rows)))  # float() ignores padding as strip() does
-    if not np.isfinite(vals).all():
+def _bulk_column(rows: Iterable[list[str]], idx: int | tuple[int, int]) -> tuple[float, ...]:
+    """The cells at ``idx`` of every row, parsed as finite floats in one pass.
+
+    An ``(i, j)`` pair gives cells i and j of each row in turn.  Raises
+    ValueError or IndexError on any bad cell.
+    """
+    if isinstance(idx, int):
+        cells = map(itemgetter(idx), rows)
+    else:
+        cells = chain.from_iterable(map(itemgetter(*idx), rows))
+    vals = tuple(map(float, cells))  # float() ignores padding as strip() does
+    if not all(map(math.isfinite, vals)):
         raise ValueError("non-finite cell")
     return vals
+
+
+def _bulk_columns(fh: TextIO, spec: ColumnSpec) -> tuple[tuple, tuple | None] | None:
+    """The values and timestamps read in one pass over the rows of ``fh``,
+    which are never held as lists; None if any row is bad (or there is
+    none), for the row walk to name."""
+    rows = csv.reader(fh)
+    try:
+        names = [c.strip() for c in next(rows)] if spec.needs_header() else None
+        v_idx = _resolve(spec.value, names, "value")
+        if spec.timestamp is None:
+            values, stamps = _bulk_column(rows, v_idx), None
+        else:
+            both = _bulk_column(rows, (v_idx, _resolve(spec.timestamp, names, "timestamp")))
+            values, stamps = both[0::2], both[1::2]
+    except UnicodeDecodeError:
+        raise
+    except (ValueError, IndexError, StopIteration):
+        return None
+    return (values, stamps) if values else None
 
 
 def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
@@ -247,18 +287,30 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     raise :class:`DataError` naming the 1-based data row (counted after
     the header, when there is one).  Nothing is skipped silently.
 
-    The selected columns are parsed in bulk; only when that fails are the
-    rows walked one by one, to name the first bad row.
+    The selected columns are parsed straight to floats in one pass over
+    the file, and rows are never held as lists.  Only when that pass fails
+    is the file read again from the start, all rows first, and walked row
+    by row to name the first bad row.  An input that cannot seek (a pipe)
+    is read into memory first, so that it can be read twice.
     """
     try:  # the messages match cli._read_text's, for config and family files
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            if not fh.seekable():  # a pipe: its text is kept, read line by line as csv reads it
+                fh, pipe = io.StringIO(newline=""), fh
+                fh.writelines(pipe)
+                fh.seek(0)
+            columns = _bulk_columns(fh, spec)
+            if columns is None:
+                fh.seek(0)
+                rows = list(csv.reader(fh))
     except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"input file does not exist: {path}")
     except OSError as exc:
         raise DataError(f"cannot read input file {path}: {exc.strerror}")
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read input file {path}: {exc}")
+    if columns is not None:
+        return TimeSeries(*columns)
     names: list[str] | None = None
     if spec.needs_header():
         if not rows:
@@ -269,9 +321,5 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     t_idx = _resolve(spec.timestamp, names, "timestamp") if spec.timestamp is not None else None
     if not rows:
         raise DataError(f"{path} contains no data rows")
-    try:
-        values = _bulk_column(rows, v_idx)
-        stamps = _bulk_column(rows, t_idx) if t_idx is not None else None
-    except (ValueError, IndexError):
-        values, stamps = _validate_rows(rows, v_idx, t_idx)
+    values, stamps = _validate_rows(rows, v_idx, t_idx)
     return TimeSeries(tuple(values), tuple(stamps) if stamps is not None else None)

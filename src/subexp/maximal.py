@@ -67,8 +67,11 @@ class MaximalDist:
     mu_hi: float
 
     def __post_init__(self) -> None:
-        lo = float(self.mu_lo)
-        hi = float(self.mu_hi)
+        try:
+            lo = float(self.mu_lo)
+            hi = float(self.mu_hi)
+        except OverflowError:  # an int too large for a float
+            raise ValueError(f"interval endpoints must be finite, got [{self.mu_lo!r}, {self.mu_hi!r}]") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"interval endpoints must be finite, got [{lo!r}, {hi!r}]")
         if lo > hi:

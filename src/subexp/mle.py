@@ -46,6 +46,8 @@ class SampleSet:
                 v = float(v)
             except (TypeError, ValueError):
                 raise ValueError(f"observation {i} is not a number: {v!r}") from None
+            except OverflowError:  # an int too large for a float
+                raise ValueError(f"observation {i} is not finite: {v!r}") from None
             if not math.isfinite(v):
                 raise ValueError(f"observation {i} is not finite: {v!r}")
             vals.append(v)

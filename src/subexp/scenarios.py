@@ -93,6 +93,8 @@ def _as_finite_float(x, what: str) -> float:
         v = float(x)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} is not a real number: {x!r}") from exc
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{what} must be finite, got {x!r}") from None
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {v!r}")
     return v
@@ -115,10 +117,14 @@ class DiscreteMeasure:
             raise ValueError("a measure needs at least one atom")
         clean = []
         for i, pair in enumerate(self.atoms):
-            if len(pair) != 2:
-                raise ValueError(f"atom {i} must be a (point, weight) pair, got {pair!r}")
-            p = _as_finite_float(pair[0], f"atom {i} point")
-            w = _as_finite_float(pair[1], f"atom {i} weight")
+            try:
+                if isinstance(pair, (str, bytes)) or len(pair) != 2:
+                    raise TypeError
+                p, w = pair[0], pair[1]
+            except (TypeError, LookupError):
+                raise ValueError(f"atom {i} must be a (point, weight) pair, got {pair!r}") from None
+            p = _as_finite_float(p, f"atom {i} point")
+            w = _as_finite_float(w, f"atom {i} weight")
             if w < 0.0:
                 raise ValueError(f"atom {i} has negative weight {w!r}")
             clean.append((p, w))
@@ -163,7 +169,7 @@ class DiscreteMeasure:
         atoms = obj["atoms"]
         if not isinstance(atoms, (list, tuple)):
             raise ValueError(f"'atoms' must be an array, got {atoms!r}")
-        return cls(tuple((a[0], a[1]) for a in atoms))
+        return cls(tuple(atoms))
 
 
 @dataclass(frozen=True)

@@ -1250,3 +1250,49 @@ class TestOutputTarget:
         capsys.readouterr()
         assert stat.S_IMODE(out.stat().st_mode) == mode
         assert json.loads(out.read_text())["result"]["n"] == 2
+
+
+class TestFamilyAtoms:
+    """A malformed atom in a family file exits 3 and names the atom."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"atoms": [[1.0]]}]', "atom 0 must be a (point, weight) pair, got [1.0]"),
+            ('[{"atoms": [[1.0, 1.0, 3]]}]', "atom 0 must be a (point, weight) pair, got [1.0, 1.0, 3]"),
+            ('[{"atoms": [5.0]}]', "atom 0 must be a (point, weight) pair, got 5.0"),
+            ('[{"atoms": [[1' + "0" * 400 + ', 1.0]]}]', "atom 0 point must be finite, got 1" + "0" * 400),
+            ('[{"atoms": [[1.0, 1' + "0" * 400 + "]]}]", "atom 0 weight must be finite, got 1" + "0" * 400),
+        ],
+        ids=["one_entry", "three_entries", "not_a_pair", "huge_point", "huge_weight"],
+    )
+    def test_exits_3(self, capsys, tmp_path, text, message):
+        path = tmp_path / "family.json"
+        path.write_text(text)
+        code, out, err = run_text(capsys, ["eval", "--family", str(path), "--fn", "identity"])
+        assert (code, out) == (3, "")
+        assert error_line(err) == {"error": {"code": 3, "message": f"{path}: {message}"}}
+
+
+class TestPipedInput:
+    ARGV = ["envelope", "--input", "/dev/stdin", "--window", "2", "--num-windows", "1"]
+
+    @staticmethod
+    def run(argv, stdin):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run([sys.executable, "-m", "subexp.cli", *argv], input=stdin, env=env, capture_output=True, text=True)
+
+    def test_a_bad_row_is_named(self):
+        # a pipe cannot seek: it is read into memory, then walked row by row
+        proc = self.run(self.ARGV, "1\nx\n3\n")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert error_line(proc.stderr) == {"error": {"code": 3, "message": "row 2: non-numeric value 'x'"}}
+
+    def test_matches_the_same_rows_in_a_file(self, capsys, tmp_path):
+        p = tmp_path / "series.csv"
+        p.write_text("1\n2.5\n-3\n")
+        assert cli.main([*self.ARGV[:2], str(p), *self.ARGV[3:]]) == 0
+        proc = self.run(self.ARGV, p.read_text())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # the digest covers the input path, so compare the results
+        assert json.loads(proc.stdout)["result"] == json.loads(capsys.readouterr().out)["result"]

@@ -1,4 +1,9 @@
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +356,12 @@ class TestBulkIngest:
         "whitespace_cells": ("1,2\n , \n", ColumnSpec(value=1)),
         "non_numeric_timestamp": ("a,1\n2,2\n", ColumnSpec(value=1, timestamp=0)),
         "clean": ("1.0,0.1\n2.0,1e-3\n3.0,-7\n", ColumnSpec(value=1, timestamp=0)),
+        "crlf": ("t,z\r\n1,0.5\r\n2,-0.25\r\n", ColumnSpec(value="z", timestamp="t")),
+        "quoted": ('"t","z"\n"1"," 0.5"\n"2","-0.25"\n', ColumnSpec(value="z", timestamp="t")),
+        "quoted_newline_elsewhere": ('1,"a\nb"\n2,"c"\n', ColumnSpec()),
+        "header_only": ("t,z\n", ColumnSpec(value="z")),
+        "unknown_header_column": ("t,z\n1,x\n", ColumnSpec(value="y")),
+        "decreasing_timestamps": ("2,1\n1,2\n", ColumnSpec(value=1, timestamp=0)),
     }
 
     @staticmethod
@@ -373,6 +384,24 @@ class TestBulkIngest:
 
         monkeypatch.setattr(envelope, "_bulk_column", refuse)
         assert bulk == self.outcome(str(p), spec)
+
+    @pytest.mark.parametrize("spec", [ColumnSpec(value="z", timestamp="t"), ColumnSpec(value="z")])
+    def test_the_bulk_pass_is_taken(self, tmp_path, monkeypatch, spec):
+        # the corpus test above patches _bulk_column; this shows that the
+        # patch point is live, so that test cannot pass without the row walk
+        p = tmp_path / "in.csv"
+        p.write_text("t,z\n1,0.5\n2,-0.25\n")
+        want = self.outcome(str(p), spec)
+        calls = []
+        bulk = envelope._bulk_column
+
+        def spy(rows, idx):
+            calls.append(idx)
+            return bulk(rows, idx)
+
+        monkeypatch.setattr(envelope, "_bulk_column", spy)
+        assert self.outcome(str(p), spec) == want
+        assert calls
 
     def test_nan_timestamp_reports_order(self):
         with pytest.raises(DataError, match=r"strictly increasing; entry 1 \(nan\)"):
@@ -403,6 +432,48 @@ class TestUnreadableInput:
         with pytest.raises(DataError, match=f"^cannot read input file {p}: {reason}"):
             ingest_csv(str(p))
 
+    @pytest.mark.parametrize(
+        "head, spec",
+        [(b"1\nx\n", ColumnSpec()), (b"t,z\n1,2\n", ColumnSpec(value="z", timestamp="t")),
+         (b"t,z\n1,2\n", ColumnSpec(value="nope"))],
+    )
+    @pytest.mark.parametrize("tail", [b"\xff\n", b"7" * 200_000 + b"\n"], ids=["undecodable", "field_limit"])
+    def test_a_late_read_error_wins_over_an_early_bad_row(self, tmp_path, head, spec, tail):
+        # the message is the one that reading every row first gives
+        p = tmp_path / "in.csv"
+        p.write_bytes(head + b"3,4\n" * 10_000 + tail)
+        with open(p, newline="") as fh, pytest.raises((UnicodeDecodeError, csv.Error)) as first:
+            list(csv.reader(fh))
+        with pytest.raises(DataError) as got:
+            ingest_csv(str(p), spec)
+        assert str(got.value) == f"cannot read input file {p}: {first.value}"
+
     def test_a_directory(self, tmp_path):
         with pytest.raises(DataError, match=f"^cannot read input file {tmp_path}: Is a directory$"):
             ingest_csv(str(tmp_path))
+
+
+class TestStreamingMemory:
+    # ru_maxrss would carry the forking test process's own peak across exec,
+    # so the probe reads VmHWM, the peak RSS of its own memory map
+    PROBE = (
+        "import sys\n"
+        "from subexp.envelope import ColumnSpec, ingest_csv\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "before = peak_kb()\n"
+        "z = ingest_csv(sys.argv[1], ColumnSpec(value='z', timestamp='t'))\n"
+        "assert len(z) == 200_000 and z.timestamps[-1] == 199_999.0\n"
+        "print((peak_kb() - before) / 1024)\n"
+    )
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_rows_are_not_held_as_lists(self, tmp_path):
+        # 2e5 rows of two columns: holding every row as a list of strings
+        # grew peak RSS by about 71 MB, parsing in one pass by about 20 MB
+        p = tmp_path / "big.csv"
+        p.write_text("t,z\n" + "".join(f"{i},{(i % 97) / 7!r}\n" for i in range(200_000)))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", self.PROBE, str(p)], env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 40.0

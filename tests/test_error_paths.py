@@ -77,3 +77,52 @@ def test_a_csv_without_data(tmp_path, text, spec, message):
     path.write_text(text)
     _raises(lambda: ingest_csv(str(path), spec), DataError, message.format(path))
 
+
+
+BIG = 10**400  # an int too large for a float
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: subexp.DiscreteMeasure((5.0,)), "atom 0 must be a (point, weight) pair, got 5.0"),
+        (lambda: subexp.DiscreteMeasure(("01",)), "atom 0 must be a (point, weight) pair, got '01'"),
+        (lambda: subexp.DiscreteMeasure(({"p": 1, "w": 1},)), "atom 0 must be a (point, weight) pair, got {'p': 1, 'w': 1}"),
+        (lambda: subexp.DiscreteMeasure.from_dict({"atoms": [[0.0, 1.0], [1.0]]}),
+         "atom 1 must be a (point, weight) pair, got [1.0]"),
+        (lambda: subexp.DiscreteMeasure.from_dict({"atoms": [[1.0, 1.0, 3]]}),
+         "atom 0 must be a (point, weight) pair, got [1.0, 1.0, 3]"),
+    ],
+)
+def test_a_malformed_atom_is_named(call, message):
+    _raises(call, ValueError, message)
+
+
+@pytest.mark.parametrize(
+    "call, exc_type, message",
+    [
+        (lambda: subexp.DiscreteMeasure([(BIG, 1.0)]), ValueError, f"atom 0 point must be finite, got {BIG}"),
+        (lambda: subexp.DiscreteMeasure([(0.0, 0.5), (1.0, -BIG)]), ValueError,
+         f"atom 1 weight must be finite, got {-BIG}"),
+        (lambda: subexp.SampleSet((1.0, BIG)), ValueError, f"observation 1 is not finite: {BIG}"),
+        (lambda: subexp.TimeSeries((1.0, BIG)), DataError,
+         f"observation 1 is not finite: {BIG}; missing values are not imputed"),
+        (lambda: subexp.TimeSeries((1.0, 2.0), (0, BIG)), DataError, f"timestamp 1 is not a number: {BIG}"),
+        (lambda: subexp.MaximalDist(0, BIG), ValueError, f"interval endpoints must be finite, got [0, {BIG}]"),
+        (lambda: subexp.MaximalDist(-BIG, 0.0), ValueError, f"interval endpoints must be finite, got [{-BIG}, 0.0]"),
+    ],
+)
+def test_an_int_too_large_for_a_float(call, exc_type, message):
+    _raises(call, exc_type, message)
+
+
+@pytest.mark.parametrize(
+    "stamps, message",
+    [
+        (("a", "b"), "timestamp 0 is not a number: 'a'"),
+        ((None, 1.0), "timestamp 0 is not a number: None"),
+        ((0.0, [1.0]), "timestamp 1 is not a number: [1.0]"),
+    ],
+)
+def test_a_non_numeric_timestamp_is_named(stamps, message):
+    _raises(lambda: subexp.TimeSeries((1.0, 2.0), stamps), DataError, message)
