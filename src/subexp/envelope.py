@@ -273,7 +273,7 @@ def _bulk_columns(fh: TextIO, spec: ColumnSpec) -> tuple[tuple, tuple | None] | 
         else:
             both = _bulk_column(rows, (v_idx, _resolve(spec.timestamp, names, "timestamp")))
             values, stamps = both[0::2], both[1::2]
-    except UnicodeDecodeError:
+    except UnicodeDecodeError:  # a ValueError, but an unreadable file, not a bad row
         raise
     except (ValueError, IndexError, StopIteration):
         return None
@@ -295,10 +295,8 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     """
     try:  # the messages match cli._read_text's, for config and family files
         with open(path, newline="") as fh:
-            if not fh.seekable():  # a pipe: its text is kept, read line by line as csv reads it
-                fh, pipe = io.StringIO(newline=""), fh
-                fh.writelines(pipe)
-                fh.seek(0)
+            if not fh.seekable():  # a pipe: its bytes are kept, to be decoded as a file's are
+                fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, fh.errors, newline="")
             columns = _bulk_columns(fh, spec)
             if columns is None:
                 fh.seek(0)
