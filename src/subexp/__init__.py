@@ -14,6 +14,7 @@ pays only for the layers it uses.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
@@ -61,3 +62,32 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_HOME})
+
+
+def _finite_floats(values, bad) -> tuple[float, ...]:
+    """The entries of ``values`` (any iterable) as floats, each one finite.
+
+    The layers' containers share this rule, so it lives in the one module
+    every command loads; it loads no layer and no numpy.  One bulk pass
+    converts and checks; only if it fails are the entries walked again, and
+    the first bad entry i raises ``bad(i, shown, number)``: ``number`` is
+    False when ``float()`` refuses the entry (``shown`` is the entry) and
+    True when it is not finite (``shown`` is its float, or the entry itself
+    for an int too large for a float).
+    """
+    values = tuple(values)  # the walk reads an iterator's entries again; a tuple is not copied
+    try:
+        floats = tuple(map(float, values))
+        if all(map(math.isfinite, floats)):
+            return floats
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for i, v in enumerate(values):
+        try:
+            f = float(v)
+        except (TypeError, ValueError):
+            raise bad(i, v, False) from None
+        except OverflowError:  # an int too large for a float
+            raise bad(i, v, True) from None
+        if not math.isfinite(f):
+            raise bad(i, f, True)

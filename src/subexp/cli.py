@@ -438,7 +438,7 @@ def _load_family(path: str) -> subexp.ScenarioFamily:
     text = _read_text(path, "family file")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of too many digits
         raise CliError(EXIT_DATA, f"{path} is not valid JSON: {exc}")
     try:
         return subexp.ScenarioFamily.from_list(obj)
@@ -522,10 +522,7 @@ def _cmd_estimate(args):
         series = subexp.ingest_csv(args.input, _column_spec(args))
         values = series.values
     else:
-        try:
-            values = tuple(float(v) for v in args.values.split(","))
-        except ValueError:
-            raise CliError(EXIT_VALIDATION, f"bad --values list {args.values!r}")
+        values = args.values.split(",")  # SampleSet names a bad entry
     sample = subexp.SampleSet(values)
     return subexp.mle_estimate(sample).to_dict(n=sample.n), None, EXIT_OK
 

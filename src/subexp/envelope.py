@@ -31,6 +31,8 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _finite_floats
+
 __all__ = [
     "DataError",
     "TimeSeries",
@@ -53,6 +55,12 @@ class DataError(ValueError):
     """Malformed or insufficient input data (files, rows, series)."""
 
 
+def _bad_observation(i: int, shown, number: bool) -> DataError:
+    if number:
+        return DataError(f"observation {i} is not finite: {shown!r}; missing values are not imputed")
+    return DataError(f"observation {i} is not a number: {shown!r}")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Finite real observations, optionally with strictly increasing timestamps."""
@@ -63,20 +71,7 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if not self.values:
             raise DataError("time series must be nonempty")
-        try:
-            vals = tuple(map(float, self.values))
-        except (TypeError, ValueError, OverflowError):
-            vals = None
-        if vals is None or not all(map(math.isfinite, vals)):
-            for i, v in enumerate(self.values):  # name the first bad entry
-                try:
-                    fv = float(v)
-                except (TypeError, ValueError):
-                    raise DataError(f"observation {i} is not a number: {v!r}") from None
-                except OverflowError:  # an int too large for a float
-                    raise DataError(f"observation {i} is not finite: {v!r}; missing values are not imputed") from None
-                if not math.isfinite(fv):
-                    raise DataError(f"observation {i} is not finite: {fv!r}; missing values are not imputed")
+        vals = _finite_floats(self.values, _bad_observation)
         object.__setattr__(self, "values", vals)
         if self.timestamps is not None:
             try:
@@ -98,6 +93,9 @@ class TimeSeries:
                     f"timestamps must be strictly increasing; entry {i} ({ts[i]!r}) "
                     f"does not exceed entry {i - 1} ({ts[i - 1]!r})"
                 )
+            for i in (0, len(ts) - 1):  # strictly increasing: only the ends can be infinite
+                if not math.isfinite(ts[i]):
+                    raise DataError(f"timestamp {i} is not finite: {ts[i]!r}")
             object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:

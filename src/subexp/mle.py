@@ -10,9 +10,10 @@ over a candidate grid and exists to cross-check the closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
+
+from . import _finite_floats
 
 if TYPE_CHECKING:
     from .maximal import MaximalDist
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 
+def _bad_observation(i: int, shown, number: bool) -> ValueError:
+    return ValueError(f"observation {i} is not {'finite' if number else 'a number'}: {shown!r}")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """A nonempty batch of finite real observations (order is irrelevant)."""
@@ -40,18 +45,7 @@ class SampleSet:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sample set must be nonempty")
-        vals = []
-        for i, v in enumerate(self.values):
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                raise ValueError(f"observation {i} is not a number: {v!r}") from None
-            except OverflowError:  # an int too large for a float
-                raise ValueError(f"observation {i} is not finite: {v!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"observation {i} is not finite: {v!r}")
-            vals.append(v)
-        vals = tuple(vals)
+        vals = _finite_floats(self.values, _bad_observation)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_min", min(vals))
         object.__setattr__(self, "_max", max(vals))

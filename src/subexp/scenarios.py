@@ -26,6 +26,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _finite_floats
+
 __all__ = [
     "WEIGHT_TOL",
     "EvaluationError",
@@ -88,16 +90,12 @@ def _check_constants(lipschitz: float, bound: float) -> None:
         raise ValueError(f"bound must be >= 0 (or inf), got {bound!r}")
 
 
-def _as_finite_float(x, what: str) -> float:
-    try:
-        v = float(x)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} is not a real number: {x!r}") from exc
-    except OverflowError:  # an int too large for a float
-        raise ValueError(f"{what} must be finite, got {x!r}") from None
-    if not math.isfinite(v):
-        raise ValueError(f"{what} must be finite, got {v!r}")
-    return v
+def _bad_atom_entry(k: int, shown, number: bool) -> ValueError:
+    """The error for entry k of the interleaved points and weights."""
+    what = f"atom {k // 2} {'weight' if k % 2 else 'point'}"
+    if number:
+        return ValueError(f"{what} must be finite, got {shown!r}")
+    return ValueError(f"{what} is not a real number: {shown!r}")
 
 
 @dataclass(frozen=True)
@@ -115,35 +113,35 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValueError("a measure needs at least one atom")
-        clean = []
+        flat = []  # points and weights interleaved
         for i, pair in enumerate(self.atoms):
             try:
                 if isinstance(pair, (str, bytes)) or len(pair) != 2:
                     raise TypeError
-                p, w = pair[0], pair[1]
+                flat += pair[0], pair[1]  # indexed: a mapping iterates its keys
             except (TypeError, LookupError):
                 raise ValueError(f"atom {i} must be a (point, weight) pair, got {pair!r}") from None
-            p = _as_finite_float(p, f"atom {i} point")
-            w = _as_finite_float(w, f"atom {i} weight")
-            if w < 0.0:
-                raise ValueError(f"atom {i} has negative weight {w!r}")
-            clean.append((p, w))
-        total = math.fsum(w for _, w in clean)
+        flat = _finite_floats(flat, _bad_atom_entry)
+        weights = flat[1::2]
+        if min(weights, default=0.0) < 0.0:
+            i = next(i for i, w in enumerate(weights) if w < 0.0)
+            raise ValueError(f"atom {i} has negative weight {weights[i]!r}")
+        total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(
                 f"weights must sum to 1 within {WEIGHT_TOL} (got {total!r}); "
                 "renormalise before constructing the measure"
             )
-        object.__setattr__(self, "atoms", tuple(clean))
+        object.__setattr__(self, "atoms", tuple(zip(flat[0::2], weights)))
 
     @classmethod
     def dirac(cls, point: float) -> "DiscreteMeasure":
         """Unit mass at a single point."""
-        return cls(((float(point), 1.0),))
+        return cls(((point, 1.0),))
 
     @classmethod
     def uniform(cls, points: Iterable[float]) -> "DiscreteMeasure":
-        pts = [float(p) for p in points]
+        pts = list(points)
         if not pts:
             raise ValueError("uniform measure needs at least one point")
         w = 1.0 / len(pts)

@@ -77,6 +77,20 @@ class TestEstimate:
         code, out, err = run_text(capsys, ["estimate"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("1,x", "observation 1 is not a number: 'x'"),
+            ("not-a-number", "observation 0 is not a number: 'not-a-number'"),
+            ("1,,2", "observation 1 is not a number: ''"),
+            ("1,nan", "observation 1 is not finite: nan"),
+        ],
+    )
+    def test_a_bad_value_is_named(self, capsys, values, message):
+        code, out, err = run_text(capsys, ["estimate", "--values", values])
+        assert (code, out) == (2, "")
+        assert error_line(err) == {"error": {"code": 2, "message": message}}
+
     def test_csv_format(self, capsys):
         code, out, _ = run_text(capsys, ["estimate", "--values", "1,2", "--format", "csv"])
         assert code == 0
@@ -672,6 +686,19 @@ class TestImportBudget:
         loaded = json.loads(out.stdout)
         assert not [m for m in loaded if m.startswith("numpy")]
         assert loaded == ["subexp", "subexp.cli", "subexp.mle"]
+
+    def test_envelope_input_loads_only_envelope(self, tmp_path):
+        # the finite-float rule lives in the package module, which every command loads
+        series = tmp_path / "series.csv"
+        series.write_text("0.5\n1.5\n-2.0\n3.0\n")
+        out = fresh_interpreter(
+            "import contextlib, io; from subexp import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['envelope', '--input', {str(series)!r}, '--window', '2', '--num-windows', '2']) == 0\n"
+            f"{LOADED}"
+        )
+        loaded = [m for m in json.loads(out.stdout) if m.split(".")[0] == "subexp"]
+        assert loaded == ["subexp", "subexp.cli", "subexp.envelope"]
 
     def test_eval_family_loads_only_scenarios(self, tmp_path):
         fam = tmp_path / "family.json"
@@ -1272,6 +1299,14 @@ class TestFamilyAtoms:
         code, out, err = run_text(capsys, ["eval", "--family", str(path), "--fn", "identity"])
         assert (code, out) == (3, "")
         assert error_line(err) == {"error": {"code": 3, "message": f"{path}: {message}"}}
+
+    def test_an_int_past_the_decoders_digit_limit_exits_3(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = tmp_path / "family.json"
+        path.write_text('[{"atoms": [[1' + "0" * 5000 + ", 1.0]]}]")
+        code, out, err = run_text(capsys, ["eval", "--family", str(path), "--fn", "identity"])
+        assert (code, out) == (3, "")
+        assert error_line(err)["error"]["message"].startswith(f"{path} is not valid JSON: ")
 
 
 class TestPipedInput:
