@@ -63,7 +63,7 @@ def _bad_observation(i: int, shown, number: bool) -> DataError:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Finite real observations, optionally with strictly increasing timestamps."""
+    """Finite real observations, optionally with finite, strictly increasing timestamps."""
 
     values: tuple[float, ...]
     timestamps: tuple[float, ...] | None = None

@@ -102,10 +102,12 @@ def _bad_atom_entry(k: int, shown, number: bool) -> ValueError:
 class DiscreteMeasure:
     """A finitely supported probability measure, stored as (point, weight) atoms.
 
-    Weights must be nonnegative and sum to 1 within ``WEIGHT_TOL`` in
-    absolute value; anything else is rejected (never silently
-    renormalised).  Duplicate points are allowed and their weights add on
-    query.
+    Points and weights must be finite reals, and weights nonnegative and
+    summing to 1 within ``WEIGHT_TOL`` in absolute value; anything else is
+    rejected (never silently renormalised).  The error names a malformed
+    atom first, then the first bad point or weight, then the first negative
+    weight, then the sum.  Duplicate points are allowed and their weights
+    add on query.
     """
 
     atoms: tuple[tuple[float, float], ...]
