@@ -64,6 +64,29 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_HOME})
 
 
+class _Unprintable:
+    """Stands in, in an error message, for an entry whose ``repr`` raises,
+    such as an int of more digits than ``sys.get_int_max_str_digits()``."""
+
+    def __init__(self, value) -> None:
+        if isinstance(value, int):
+            self.text = f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+        else:
+            self.text = f"<unprintable {type(value).__name__}>"
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _shown(value):
+    """``value``, or an ``_Unprintable`` for it where its ``repr`` raises."""
+    try:
+        repr(value)
+    except ValueError:
+        return _Unprintable(value)
+    return value
+
+
 def _finite_floats(values, bad) -> tuple[float, ...]:
     """The entries of ``values`` (any iterable) as floats, each one finite.
 
@@ -73,7 +96,8 @@ def _finite_floats(values, bad) -> tuple[float, ...]:
     the first bad entry i raises ``bad(i, shown, number)``: ``number`` is
     False when ``float()`` refuses the entry (``shown`` is the entry) and
     True when it is not finite (``shown`` is its float, or the entry itself
-    for an int too large for a float).
+    for an int too large for a float).  An entry whose ``repr`` would raise
+    is shown through ``_shown``, so ``bad`` may format it with ``!r``.
     """
     values = tuple(values)  # the walk reads an iterator's entries again; a tuple is not copied
     try:
@@ -86,8 +110,8 @@ def _finite_floats(values, bad) -> tuple[float, ...]:
         try:
             f = float(v)
         except (TypeError, ValueError):
-            raise bad(i, v, False) from None
+            raise bad(i, _shown(v), False) from None
         except OverflowError:  # an int too large for a float
-            raise bad(i, v, True) from None
+            raise bad(i, _shown(v), True) from None
         if not math.isfinite(f):
             raise bad(i, f, True)

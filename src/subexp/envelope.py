@@ -31,7 +31,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _finite_floats
+from . import _finite_floats, _shown
 
 __all__ = [
     "DataError",
@@ -81,7 +81,7 @@ class TimeSeries:
                     try:
                         float(v)
                     except (TypeError, ValueError, OverflowError):
-                        raise DataError(f"timestamp {i} is not a number: {v!r}") from None
+                        raise DataError(f"timestamp {i} is not a number: {_shown(v)!r}") from None
                 raise
             if len(ts) != len(vals):
                 raise DataError(f"{len(ts)} timestamps for {len(vals)} values")

@@ -14,6 +14,11 @@ different seeds use independent streams, each reproducible alone, and
 
 A run may draw at most ``_MAX_DRAWS`` (2**28) observations per policy,
 reps * n; ``SimConfig`` rejects more before anything is allocated.
+
+Running sums S_n are exact sequential sums, bit for bit those of
+``np.cumsum`` over the path, taken two paths per pass: one complex
+``np.cumsum`` runs the two IEEE addition chains in its real and imaginary
+lanes at the cost of one.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ GENERATOR_NAME = "numpy-pcg64:SeedSequence(seed,spawn_key=(r,))"
 # SimConfig rejects more draws per policy (reps * n) than this, before any
 # simulation allocates or runs.
 _MAX_DRAWS = 1 << 28
+# draws per chunk of the running-sum pass; with its carry slot the pair
+# buffer holds at most 2**16 complex entries (1 MiB), whatever n is
+_PAIR_CHUNK = (1 << 16) - 1
 
 
 class SimulationError(RuntimeError):
@@ -411,15 +419,53 @@ def _experiment(
     exist at once; ``transform`` maps all running means in one call.  Of
     several failures, the one raised is the one a policy-by-policy walk
     would meet first.
+
+    Running sums are summed two paths per pass, in the order ``_walk``
+    visits them: the earlier path in the real lane of one complex buffer,
+    the later in the imaginary lane, and an odd path out with itself.  The
+    buffer takes a path in chunks of ``_PAIR_CHUNK`` draws; from the second
+    chunk on, the previous chunk's last running sum sits in front of it, so
+    ``np.cumsum`` makes the same chain of additions as over the whole path.
+    Only the scheduled running sums are read out.
     """
     sched = np.asarray(schedule, dtype=int)
+    n = int(sched.max())
     means = np.empty((len(policies), cfg.reps, len(sched)))
+    # chunks of the path: (start, stop, schedule entries inside, their buffer slots)
+    chunks = []
+    for lo in range(0, n, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, n)
+        ks = np.flatnonzero((sched > lo) & (sched <= hi))
+        chunks.append((lo, hi, ks, sched[ks] - lo))
+    # slots 1.. hold a chunk; slot 0 carries the previous chunk's last running
+    # sum, so the carry is added inside np.cumsum (its overflow warning is
+    # numpy's usual one); the first chunk leaves slot 0 out, since 0.0 + -0.0
+    # would lose a leading -0.0's sign
+    buf = np.empty(min(n, _PAIR_CHUNK) + 1, dtype=complex)
+    sums = np.empty(len(sched), dtype=complex)
+    pending = []  # the earlier path of a pair, until the later one comes
 
     def visit(p: int, r: int, x: np.ndarray) -> None:
-        np.cumsum(x, out=x)
-        means[p, r] = x[sched - 1] / sched
+        pending.append((p, r, x))
+        if len(pending) < 2:
+            return
+        # the earlier path in the real lane, the later one in the imaginary lane
+        (pa, ra, a), (pb, rb, b) = pending
+        pending.clear()
+        for lo, hi, ks, slots in chunks:
+            m = hi - lo
+            buf.real[1 : m + 1] = a[lo:hi]
+            buf.imag[1 : m + 1] = b[lo:hi]
+            run = buf[1 if lo == 0 else 0 : m + 1]
+            np.cumsum(run, out=run)
+            sums[ks] = buf[slots]
+            buf[0] = buf[m]
+        means[pa, ra] = sums.real / sched
+        means[pb, rb] = sums.imag / sched
 
-    failed = _walk(d, policies, noise, cfg, int(sched.max()), visit)
+    failed = _walk(d, policies, noise, cfg, n, visit)
+    if pending:  # an odd path out, paired with itself
+        visit(*pending[0])
     if failed:
         # policy by policy, the transform of every earlier path came first
         p, (r, exc) = min(failed.items())

@@ -21,6 +21,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _shown
 from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily, _evaluate
 
 __all__ = [
@@ -71,7 +72,8 @@ class MaximalDist:
             lo = float(self.mu_lo)
             hi = float(self.mu_hi)
         except OverflowError:  # an int too large for a float
-            raise ValueError(f"interval endpoints must be finite, got [{self.mu_lo!r}, {self.mu_hi!r}]") from None
+            ends = f"[{_shown(self.mu_lo)!r}, {_shown(self.mu_hi)!r}]"
+            raise ValueError(f"interval endpoints must be finite, got {ends}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"interval endpoints must be finite, got [{lo!r}, {hi!r}]")
         if lo > hi:

@@ -16,6 +16,8 @@ from subexp.envelope import DataError
 
 DM, SS, TS = subexp.DiscreteMeasure, subexp.SampleSet, subexp.TimeSeries
 BIG = 10**400  # an int too large for a float
+HUGE = 10**5000  # an int with more digits than int-to-str conversion allows
+HUGE_SHOWN = f"<int of {HUGE.bit_length()} bits>"
 nan, inf = math.nan, math.inf
 SUM = "weights must sum to 1 within 1e-12 (got {}); renormalise before constructing the measure"
 PAIR = "atom 0 must be a (point, weight) pair, got "
@@ -103,6 +105,25 @@ def _raises(call, exc_type, message):
     ids=_short,
 )
 def test_a_bad_entry_keeps_its_message(call, exc_type, message):
+    _raises(call, exc_type, message)
+
+
+# repr of such an int raises ValueError; each container names the entry instead
+@pytest.mark.parametrize(
+    "call, exc_type, message",
+    [
+        (lambda: DM([(HUGE, 1.0)]), ValueError, f"atom 0 point must be finite, got {HUGE_SHOWN}"),
+        (lambda: DM([(0.0, 0.5), (1.0, -HUGE)]), ValueError,
+         f"atom 1 weight must be finite, got <negative int of {HUGE.bit_length()} bits>"),
+        (lambda: SS([HUGE]), ValueError, f"observation 0 is not finite: {HUGE_SHOWN}"),
+        (lambda: SS([[HUGE]]), ValueError, "observation 0 is not a number: <unprintable list>"),
+        (lambda: TS((1.0, HUGE)), DataError, f"observation 1 is not finite: {HUGE_SHOWN}" + NOT_IMPUTED),
+        (lambda: TS((1.0, 2.0), (0, HUGE)), DataError, f"timestamp 1 is not a number: {HUGE_SHOWN}"),
+        (lambda: subexp.MaximalDist(0, HUGE), ValueError, f"interval endpoints must be finite, got [0, {HUGE_SHOWN}]"),
+    ],
+    ids=_short,
+)
+def test_an_int_too_long_to_print_is_named(call, exc_type, message):
     _raises(call, exc_type, message)
 
 
@@ -201,6 +222,7 @@ class TestFiniteFloats:
             ([nan, "x"], (0, nan, True)),
             ([2.0, np.float64("-inf")], (1, -inf, True)),
             ([0.0, BIG, "x"], (1, BIG, True)),
+            ([0.0, HUGE, "x"], (1, subexp._Unprintable(HUGE), True)),
         ],
     )
     def test_only_the_first_bad_entry_is_named(self, values, call):

@@ -478,6 +478,160 @@ class TestSharedNoise:
         assert str(mixed.value) == str(single.value)
 
 
+def _outcome(call):
+    """A report's repr, or the type and message of the error it raised."""
+    try:
+        return repr(call())
+    except (SimulationError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPairKernel:
+    """``_experiment`` sums paths two per complex ``np.cumsum``, in chunks of
+    ``lln._PAIR_CHUNK`` draws; neither the pairing nor the chunk size may
+    change a report or an error."""
+
+    D = MaximalDist(-1.0, 2.0)
+    # one mean in 100 leaves the interval: the policy fails in a later replication
+    RISKY = MeanPolicy.random_choice([0.0] * 99 + [4.0])
+    CFG = SimConfig(n=30, reps=7, seed=3)
+    # chunk boundaries at 7 and 14 for a chunk of 7 draws; unsorted on purpose
+    SCHEDULE = [30, 1, 7, 8, 2, 14, 15, 29]
+    POLICY_SETS = {
+        "one": [MIXED[1]],
+        "two": [MIXED[0], CHASE],
+        "three": [MIXED[2], MIXED[1], CHASE],
+        "five": [MIXED[0], MIXED[1], MIXED[2], CHASE, MeanPolicy.constant(0.5)],
+    }
+    FAILING = [MIXED[0], CHASE, RISKY, MIXED[1], MIXED[2]]
+
+    @staticmethod
+    def _at_chunk_sizes(monkeypatch, run):
+        """run()'s outcome at the default chunk size, asserted equal at 1, 2 and 7."""
+        want = _outcome(run)
+        for chunk in (1, 2, 7):
+            with monkeypatch.context() as m:
+                m.setattr(lln, "_PAIR_CHUNK", chunk)
+                assert _outcome(run) == want, chunk
+        return want
+
+    def test_complex_lanes_are_two_float_cumsums(self):
+        big = sys.float_info.max
+        rng = np.random.default_rng(7)
+        magnitudes = 10.0 ** rng.uniform(-300, 300, 8) * rng.choice([-1.0, 1.0], 8)
+        inputs = [
+            np.array([-0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0]),
+            np.array([-0.0, 1.0, -1.0, -0.0, 5e-324, -5e-324, -0.0, 0.0]),
+            np.array([big, big, -1.0, -big, 2.0, 0.0, -0.0, 1.0]),  # overflows to inf
+            np.array([-big, -big, big, big, big, -0.0, 1.0, 2.0]),  # to -inf, then stays
+            np.array([big, big, -math.inf, 1.0, -0.0, 0.0, 3.0, -big]),  # inf - inf
+            np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, 1.0, 1.0]),
+            magnitudes,
+        ]
+        with np.errstate(all="ignore"):
+            for a in inputs:
+                for b in inputs:
+                    z = np.empty(len(a), dtype=complex)
+                    z.real, z.imag = a, b
+                    np.cumsum(z, out=z)
+                    assert z.real.tobytes() == np.cumsum(a).tobytes()
+                    assert z.imag.tobytes() == np.cumsum(b).tobytes()
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.uniform(0.5), NoiseSpec.two_point(0.3)])
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    @pytest.mark.parametrize("policies", list(POLICY_SETS.values()), ids=list(POLICY_SETS))
+    def test_chunk_size_changes_no_report(self, monkeypatch, noise, reps, policies):
+        cfg = SimConfig(n=30, reps=reps, seed=3)
+        rate = self._at_chunk_sizes(monkeypatch, lambda: rate_check(self.D, policies, noise, cfg, self.SCHEDULE))
+        grid = GridSpec(num=31)
+        law = self._at_chunk_sizes(
+            monkeypatch, lambda: empirical_lln(self.D, SQUARE, policies, noise, cfg, grid, self.SCHEDULE)
+        )
+        assert rate.startswith("SimReport(kind='rate'") and law.startswith("SimReport(kind='lln'")
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.uniform(0.5), NoiseSpec.two_point(0.3)])
+    def test_a_policy_failing_mid_run_keeps_its_error(self, monkeypatch, noise):
+        failed = lln._walk(self.D, [self.RISKY], noise, self.CFG, 30, lambda p, r, x: None)
+        assert failed[0][0] > 0  # earlier replications of it were summed first
+        policies = self.FAILING
+        for run in (
+            lambda: rate_check(self.D, policies, noise, self.CFG, self.SCHEDULE),
+            lambda: empirical_lln(self.D, SQUARE, policies, noise, self.CFG, GridSpec(num=31), self.SCHEDULE),
+        ):
+            assert self._at_chunk_sizes(monkeypatch, run) == f"SimulationError: {failed[0][1]}"
+
+    def test_an_earlier_transform_error_still_comes_first(self, monkeypatch):
+        def picky(x):
+            if x < -1.0:
+                raise ValueError(f"running mean {x!r} below -1")
+            return x
+
+        fn = BoundedLipschitzFn(picky, 1.0, name="picky")
+        noise = NoiseSpec.uniform(0.5)
+        first = [MeanPolicy.constant(-1.0), self.RISKY]
+        got = self._at_chunk_sizes(
+            monkeypatch, lambda: empirical_lln(self.D, fn, first, noise, self.CFG, GridSpec(num=3), self.SCHEDULE)
+        )
+        assert got.startswith("ValueError: running mean ")
+        # with the failing policy first, no earlier path reaches the transform
+        got = self._at_chunk_sizes(
+            monkeypatch,
+            lambda: empirical_lln(self.D, fn, first[::-1], noise, self.CFG, GridSpec(num=3), self.SCHEDULE),
+        )
+        assert got.startswith("SimulationError: policy random(")
+
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    def test_a_leading_negative_zero_keeps_its_sign(self, monkeypatch, reps):
+        # S_1 = -0.0 in the real lane, the imaginary lane, and paired with
+        # itself; the test function reports the sign it sees (the Monte-Carlo
+        # mean of -0.0 alone would read 0.0).  No noise kind draws -0.0, and
+        # mu + 0.0 is +0.0, so the noise is patched to -0.0.
+        monkeypatch.setattr(NoiseSpec, "sample", lambda self, rng, n: np.full(n, -0.0))
+        sign = BoundedLipschitzFn(lambda x: math.copysign(1.0, x), 1.0, name="sign")
+        lead = MeanPolicy.periodic([-0.0, 1.0])
+        cfg = SimConfig(n=30, reps=reps, seed=3)
+        for policies in ([lead], [lead, lead], [MIXED[0], lead], [MIXED[0], lead, lead]):
+            run = lambda: empirical_lln(self.D, sign, policies, NoiseSpec.none(), cfg, GridSpec(num=3), [1, 2, 30])
+            self._at_chunk_sizes(monkeypatch, run)
+            firsts = [row.estimate for row in run().rows if row.policy_id == lead.label]
+            assert firsts == [-1.0, 1.0, 1.0] * (len(firsts) // 3)
+
+    def test_an_overflowing_sum_warns_as_one_cumsum_does(self, monkeypatch):
+        # the carry between chunks is added inside np.cumsum, so an overflow
+        # at a chunk boundary raises numpy's accumulate warning, as before
+        big = sys.float_info.max
+        d = MaximalDist(0.0, big)
+        clip = BoundedLipschitzFn(lambda x: min(x, 1.0), 1.0, name="clip")
+        policies = [MeanPolicy.constant(big), MeanPolicy.constant(1.0), MeanPolicy.constant(big)]
+        cfg = SimConfig(n=4, reps=2, seed=0)
+        for chunk in (1, 2, 7, lln._PAIR_CHUNK):
+            with monkeypatch.context() as m:
+                m.setattr(lln, "_PAIR_CHUNK", chunk)
+                with pytest.warns(RuntimeWarning, match="overflow encountered in accumulate"):
+                    rep = empirical_lln(d, clip, policies, NoiseSpec.none(), cfg, GridSpec(num=3), [1, 2, 4])
+            assert [row.estimate for row in rep.rows] == [1.0] * 9
+
+
+class TestPairBufferMemory:
+    def test_peak_stays_within_seven_path_arrays_and_one_buffer(self):
+        # the four default rate policies; a path-length pair buffer would
+        # add 16 bytes per draw and fail this
+        import tracemalloc
+
+        n = 1 << 20
+        d = MaximalDist(-1.0, 1.0)
+        policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0),
+                    MeanPolicy.periodic([-1.0, 1.0])]
+        rate_check(d, policies, NoiseSpec.uniform(0.5), SimConfig(n=10, reps=1, seed=0), [10])  # warm up
+        tracemalloc.start()
+        try:
+            rate_check(d, policies, NoiseSpec.uniform(0.5), SimConfig(n=n, reps=1, seed=0), log_schedule(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * n + (2 << 20)
+
+
 class TestDrawBudget:
     def test_limit_is_checked_in_the_config(self, monkeypatch):
         monkeypatch.setattr(lln, "_MAX_DRAWS", 100)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subexp.maximal import MaximalDist
@@ -184,6 +184,7 @@ class TestSolveMinimaxOracle:
             assert (got.mu_lo_hat, got.mu_hi_hat) == (closed.mu_lo_hat, closed.mu_hi_hat)
 
     @given(values=samples_strategy)
+    @example(values=[0.0, 5e-324])  # shrink rounds to 0.0 on a subnormal range
     @settings(max_examples=100, deadline=None)
     def test_width_below_range_has_zero_likelihood(self, values):
         s = SampleSet(tuple(values))
@@ -191,7 +192,10 @@ class TestSolveMinimaxOracle:
         if rng_width == 0.0:
             return
         shrink = rng_width * 0.49
-        assert likelihood(s, s.min + shrink, s.max - shrink) == 0
+        # the lower end sits strictly above the minimum even where shrink is
+        # 0.0, and the upper end not below it where subnormal rounding crosses
+        lo = max(s.min + shrink, math.nextafter(s.min, math.inf))
+        assert likelihood(s, lo, max(s.max - shrink, lo)) == 0
 
 
 class TestUnbiasednessCheck:
