@@ -32,6 +32,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -52,11 +53,17 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports problems through CliError instead of exiting,
-    and takes no abbreviated flag: ``--conf`` would slip past the scan for
-    ``--config``, and ``--pol`` past the config file's ``policy`` key."""
+    takes no abbreviated flag (``--conf`` would slip past the scan for
+    ``--config``, and ``--pol`` past the config file's ``policy`` key), and
+    reads a negative number in exponent form as a value, so ``--mu-lo -1e308``
+    means ``--mu-lo=-1e308``."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        # A private argparse attribute, there being no public hook: its own
+        # pattern takes only the -123 and -1.5 forms for numbers, and -1e308
+        # for an option.  No flag of this CLI looks like a number.
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
     def error(self, message):  # noqa: A003 - argparse API
         raise CliError(EXIT_VALIDATION, message)

@@ -11,6 +11,9 @@ of a Lipschitz function is Lipschitz in the remaining variables with the
 same constant, so each maximal marginal contributes lipschitz * h_i / 2.
 Family marginals add nothing: the exact kernel of ``scenarios`` averages
 them, so a family-only composition equals ``sublinear_expect`` bit for bit.
+Only maxima follow the first family axis in marginal order, so that axis
+runs the exact kernel only on the rows and members whose float bounds
+(``scenarios._candidates``) reach the block's best lower bound.
 
 ``compose_independent`` reduces each block of ``maximal._grid_blocks``
 before the next is built, so a max-of-5 composition on 15 nodes per axis
@@ -26,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _grid_blocks, interval_distance
-from .scenarios import BoundedLipschitzFn, ScenarioFamily, _check_constants, _evaluate, _expectations
+from .scenarios import BoundedLipschitzFn, ScenarioFamily, _check_constants, _evaluate, _expectations, _row_sups
 
 __all__ = [
     "Marginal",
@@ -100,7 +103,9 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
     the leading axes are reduced after the last block.  A run of
     consecutive maximal axes is reduced by one max, a family axis by the
     exact kernel; both round each entry once, so the block size never
-    changes a result.  A grid of more than ``maximal._MAX_CELLS`` cells
+    changes a result.  On the first family axis the kernel skips the rows
+    and members its float bounds exclude, and an excluded row gets -inf,
+    which the maxima that follow ignore.  A grid of more than ``maximal._MAX_CELLS`` cells
     raises ValueError before f is called, and a non-finite value of f
     raises EvaluationError naming the point.
     """
@@ -119,6 +124,8 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
             axes.append(m._points)
             atom_cols.append(m._positions)
 
+    families = [i for i, cols in enumerate(atom_cols) if cols is not None]
+
     def reduce(vals: np.ndarray, lo: int, hi: int) -> np.ndarray:
         # axes lo..hi-1 are the trailing axes of vals; the innermost
         # expectation is over the last marginal, so they go last to first
@@ -126,7 +133,10 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
             cols = atom_cols[hi - 1]
             if cols is not None:
                 hi -= 1
-                vals = _expectations(j.marginals[hi], vals[..., cols]).max(axis=-1)
+                if hi == families[0]:  # only maxima follow: the filtered kernel
+                    vals = _row_sups(j.marginals[hi], vals[..., cols])
+                else:  # the values feed another family's expectation
+                    vals = _expectations(j.marginals[hi], vals[..., cols]).max(axis=-1)
                 continue
             run = hi - 1
             while run > lo and atom_cols[run - 1] is None:
@@ -134,8 +144,6 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
             vals = vals.reshape(vals.shape[: vals.ndim - (hi - run)] + (-1,)).max(axis=-1)
             hi = run
         return vals
-
-    families = [i for i, cols in enumerate(atom_cols) if cols is not None]
 
     def describe(k: int, v: float) -> str:
         # point k of the current block, by its innermost family coordinate if any

@@ -253,9 +253,10 @@ def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: flo
     pruned_ub = -math.inf
     evals = 0
     while True:
-        w = b - a
-        ub = 0.5 * (fa + fb) + 0.5 * lip * w
-        mid = a + 0.5 * w
+        with np.errstate(over="ignore"):  # an inf bound keeps its cell live
+            w = b - a
+            ub = 0.5 * (fa + fb) + 0.5 * lip * w
+            mid = a + 0.5 * w
         # a cell whose midpoint is not representable cannot be split further
         live = (ub > value + tol) & (a < mid) & (mid < b)
         pruned_ub = max(pruned_ub, float(ub[~live].max(initial=-math.inf)))

@@ -13,6 +13,14 @@ monotone, so monotonicity and constant preservation hold exactly, not merely
 up to tolerance, in :func:`expect_linear`, :func:`sublinear_expect`,
 :func:`capacity` and the family marginals of ``joint.compose_independent``.
 
+Where only the largest expectation is used (:func:`sublinear_expect`,
+:func:`capacity`, and the first family axis of a composition), inputs of at
+least ``_PRUNE_MIN_CELLS`` cells are first filtered in floats:
+:func:`_candidates` bounds every member's mean with a certified radius and
+the exact kernel runs only on the members (and rows) whose bound reaches
+the best lower bound.  Every excluded mean rounds strictly below the
+maximum, so the results are the full kernel's bit for bit.
+
 Every layer applies test functions, events and user functions to points
 through one evaluator, :func:`_evaluate`; family paths call it once per
 distinct atom point.
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +52,13 @@ __all__ = [
 # Absolute tolerance on the total mass of a measure.  Constructors reject
 # out-of-tolerance weights instead of renormalising them.
 WEIGHT_TOL = 1e-12
+
+# Max queries over at least this many cells (rows x atoms) filter the members
+# in floats before the exact kernel.  The filter's numpy calls cost about
+# 12 us; a one-row query breaks even at about 200 cells (2 vCPUs).
+_PRUNE_MIN_CELLS = 256
+_U = 2.0**-53  # unit roundoff of round-to-nearest doubles
+_ETA = 2.0**-1074  # the smallest subnormal double
 
 
 class EvaluationError(ValueError):
@@ -178,10 +194,12 @@ class ScenarioFamily:
 
     measures: tuple[DiscreteMeasure, ...]
     # Derived for the exact kernel: member starts in the flat atom order, the
-    # weights as integers over one shared power of two, and their member sums.
+    # weights as integers over one shared power of two, and their member sums;
+    # for the float filter, the weights as given.
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _masses: np.ndarray = field(init=False, repr=False, compare=False)
+    _float_weights: np.ndarray = field(init=False, repr=False, compare=False)
     # Derived for evaluation: the distinct atom points, sorted and read-only
     # (of 0.0 and -0.0 the first atom's), and each atom's position in them.
     _points: np.ndarray = field(init=False, repr=False, compare=False)
@@ -195,18 +213,29 @@ class ScenarioFamily:
                 raise TypeError(f"family entry {i} must be a DiscreteMeasure, got {type(m).__name__}")
         object.__setattr__(self, "measures", tuple(self.measures))
         starts = np.cumsum([0] + [len(m.atoms) for m in self.measures[:-1]])
-        weights, _ = _dyadic(np.array([w for m in self.measures for _, w in m.atoms]))
+        floats = np.array([w for m in self.measures for _, w in m.atoms])
+        weights, _ = _dyadic(floats)
         flat = [p for m in self.measures for p, _ in m.atoms]
         points = np.sort(list(set(flat)))  # a set keeps the first of equal points
         points.flags.writeable = False
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_masses", np.add.reduceat(weights, starts))
+        object.__setattr__(self, "_float_weights", floats)
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_positions", np.searchsorted(points, flat))
 
     def __len__(self) -> int:
         return len(self.measures)
+
+    @cached_property
+    def _bound_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per member for :func:`_candidates`: the atom count k, the float
+        mass m, and the radius terms 4ku/m and 4(k+1)eta/m.  Derived on first
+        use, so building a family costs no more than it did."""
+        counts = np.diff(self._starts, append=len(self._float_weights))
+        mass = np.add.reduceat(self._float_weights, self._starts)
+        return counts, mass, 4.0 * _U * counts / mass, 4.0 * _ETA * (counts + 1) / mass
 
     def support(self) -> tuple[float, ...]:
         """Sorted union of the atom points of all members."""
@@ -256,20 +285,86 @@ def _evaluate(fn: Callable, arrays: Sequence[np.ndarray], describe: Callable[[in
     return out
 
 
-def _expectations(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
+def _expectations(family: ScenarioFamily, values: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
     """Every member's expectation of finite ``values``, exact and rounded once.
 
     The last axis of ``values`` runs over the family's atoms, member after
-    member; in the result it runs over the members.  An expectation is
-    sum(W V) * 2**e / sum(W) with integer weights W and values V; dividing
-    by the exact mass keeps E[c] == c, and one correctly rounded integer true
-    division gives the float.
+    member; in the result it runs over the members, or over ``members``
+    (ascending member indices) when given, whose atoms alone are summed.
+    An expectation is sum(W V) * 2**e / sum(W) with integer weights W and
+    values V; dividing by the exact mass keeps E[c] == c, and one correctly
+    rounded integer true division gives the float.
     """
+    weights, starts, masses = family._weights, family._starts, family._masses
+    if members is not None:
+        counts = family._bound_terms[0][members]
+        starts = np.cumsum(counts) - counts
+        atoms = np.repeat(family._starts[members] - starts, counts) + np.arange(counts.sum())
+        values, weights, masses = values[..., atoms], weights[atoms], masses[members]
     ints, e = _dyadic(values)
-    num = np.add.reduceat(ints * family._weights, family._starts, axis=-1)
+    num = np.add.reduceat(ints * weights, starts, axis=-1)
     num = np.left_shift(num, np.maximum(e, 0))
-    den = np.left_shift(family._masses, np.maximum(-e, 0))
+    den = np.left_shift(masses, np.maximum(-e, 0))
     return (num / den).astype(float)
+
+
+def _candidates(family: ScenarioFamily, values: np.ndarray) -> np.ndarray | None:
+    """Which (row, member) pairs may hold the largest expectation of all.
+
+    A boolean array shaped like ``_expectations(family, values)``, or None
+    when a float bound is not finite (sums near the float limit), in which
+    case the caller runs the full kernel.  Each member's mean is estimated as
+    fl(sum p) / m, with p = values * weights and m the float mass.  For k
+    atoms the estimate is within 2ku sum|p|/m + (k+1)eta/m of the exact
+    mean, to first order in ku: product rounding and underflow, summation
+    in any order, the rounded mass and the quotient (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, sections 2.2 and 4.2).  The
+    radius is twice that.  A pair is excluded when its upper bound falls
+    below the best lower bound by more than two ulps of that bound, which
+    covers the rounding of estimate +- radius; its exact mean then rounds
+    strictly below the maximum, so neither the maximum nor the lowest index
+    attaining it can change.
+    """
+    _, mass, scale, tiny = family._bound_terms
+    with np.errstate(all="ignore"):
+        p = values * family._float_weights
+        est = np.add.reduceat(p, family._starts, axis=-1) / mass
+        rad = scale * np.add.reduceat(np.abs(p), family._starts, axis=-1) + tiny
+        lo, hi = est - rad, est + rad
+        if not np.isfinite(hi - lo).all():
+            return None
+        best = lo.max()
+        return hi >= best - 2.0 * np.spacing(abs(best))
+
+
+def _sup(family: ScenarioFamily, values: np.ndarray) -> tuple[float, int]:
+    """The largest expectation of the atom ``values`` and the lowest member
+    index attaining it; large inputs run the kernel on the candidates only."""
+    members = None
+    if values.size >= _PRUNE_MIN_CELLS:
+        keep = _candidates(family, values)
+        if keep is not None:
+            members = np.flatnonzero(keep)
+    means = _expectations(family, values, members)
+    i = int(np.argmax(means))
+    return float(means[i]), i if members is None else int(members[i])
+
+
+def _row_sups(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
+    """Each row's largest expectation, for callers that use only the largest
+    over all rows (rows run along the leading axes of ``values``).
+
+    On large inputs the kernel runs on the candidate rows and members only;
+    the other rows get -inf, which a following maximum ignores.
+    """
+    keep = _candidates(family, values) if values.size >= _PRUNE_MIN_CELLS else None
+    if keep is None:
+        return _expectations(family, values).max(axis=-1)
+    rows = keep.any(axis=-1)
+    members = np.flatnonzero(keep[rows].any(axis=0))
+    out = np.full(rows.shape, -np.inf)
+    out[rows] = _expectations(family, values[rows], members).max(axis=-1)
+    return out
 
 
 def _atom_values(family: ScenarioFamily, f: Callable[[float], float]) -> np.ndarray:
@@ -308,9 +403,7 @@ def sublinear_expect(family: ScenarioFamily, f: Callable[[float], float] | Bound
     Returns the value together with the index of the attaining measure.
     Ties go to the lowest index.
     """
-    means = _expectations(family, _atom_values(family, f))
-    i = int(np.argmax(means))
-    return SublinearResult(float(means[i]), i)
+    return SublinearResult(*_sup(family, _atom_values(family, f)))
 
 
 def capacity(family: ScenarioFamily, event: Callable[[float], bool]) -> float:
@@ -320,4 +413,4 @@ def capacity(family: ScenarioFamily, event: Callable[[float], bool]) -> float:
     of every member; predicate failures propagate.
     """
     hits = _atom_values(family, lambda x: np.asarray(event(x), dtype=bool))
-    return float(_expectations(family, hits).max())
+    return _sup(family, hits)[0]

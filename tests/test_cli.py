@@ -1331,3 +1331,31 @@ class TestPipedInput:
         assert (proc.returncode, proc.stderr) == (0, "")
         # the digest covers the input path, so compare the results
         assert json.loads(proc.stdout)["result"] == json.loads(capsys.readouterr().out)["result"]
+
+
+class TestRefineOverflow:
+    def test_cell_bounds_that_overflow_print_no_warning(self):
+        # (f(a) + f(b)) / 2 overflows on every cell; an inf bound keeps its
+        # cell live, so the certificate stays L * h / 2
+        argv = ["eval", "--mu-lo=-1", "--mu-hi=1", "--fn", "abs:1.7e308", "--points", "5", "--refine"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "subexp.cli", *argv], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["result"] == {"argmax": -1.0, "error_bound": 0.25, "value": 1.7e308}
+
+
+class TestNegativeExponentValues:
+    # argparse alone takes -1e308 for an option and says "expected one argument"
+    TAILS = {
+        "eval": ["--mu-hi", "1", "--fn", "identity", "--points", "3"],
+        "lln": ["--mu-hi", "1", "--fn", "identity", "--policy", "constant:0", "--n-max", "4", "--reps", "2", "--points", "3"],
+        "rate": ["--mu-hi", "1", "--n-max", "4", "--reps", "2"],
+    }
+
+    @pytest.mark.parametrize("value", ["-1e308", "-1.5e-3", "-.5", "-2E+3"])
+    @pytest.mark.parametrize("command", sorted(TAILS))
+    def test_flag_space_value_equals_flag_equals_value(self, capsys, command, value):
+        spaced = run_text(capsys, [command, "--mu-lo", value, *self.TAILS[command]])
+        joined = run_text(capsys, [command, f"--mu-lo={value}", *self.TAILS[command]])
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
