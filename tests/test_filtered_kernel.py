@@ -179,7 +179,7 @@ class TestFilterDecisions:
             assert tuple(with_gate(monkeypatch, gate, lambda: sublinear_expect(fam, table.__getitem__))) == want
         assert calls == [None, None]
 
-    def test_large_families_send_few_members_to_the_kernel(self, monkeypatch):
+    def test_large_families_send_few_members_to_the_kernel(self):
         fam = big_family(np.random.default_rng(8))
         keep = _candidates(fam, _atom_values(fam, lambda x: abs(x - 0.25)))
         assert 1 <= keep.sum() < len(fam)
