@@ -319,11 +319,12 @@ def _candidates(family: ScenarioFamily, values: np.ndarray) -> np.ndarray | None
     mean, to first order in ku: product rounding and underflow, summation
     in any order, the rounded mass and the quotient (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, sections 2.2 and 4.2).  The
-    radius is twice that.  A pair is excluded when its upper bound falls
-    below the best lower bound by more than two ulps of that bound, which
-    covers the rounding of estimate +- radius; its exact mean then rounds
-    strictly below the maximum, so neither the maximum nor the lowest index
-    attaining it can change.
+    radius takes twice the first term and four times the second, which also
+    covers the rounding of the radius itself.  A pair is excluded when its
+    upper bound falls below the best lower bound by more than two ulps of
+    that bound, which covers the rounding of estimate +- radius; its exact
+    mean then rounds strictly below the maximum, so neither the maximum nor
+    the lowest index attaining it can change.
     """
     _, mass, scale, tiny = family._bound_terms
     with np.errstate(all="ignore"):
