@@ -55,15 +55,18 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports problems through CliError instead of exiting,
     takes no abbreviated flag (``--conf`` would slip past the scan for
     ``--config``, and ``--pol`` past the config file's ``policy`` key), and
-    reads a negative number in exponent form as a value, so ``--mu-lo -1e308``
-    means ``--mu-lo=-1e308``."""
+    reads any token that starts like a negative number as a value, so
+    ``--mu-lo -1e308`` means ``--mu-lo=-1e308``, ``--mu-lo -inf`` means
+    ``--mu-lo=-inf`` and ``--values -1,2,3`` means ``--values=-1,2,3``."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
         # A private argparse attribute, there being no public hook: its own
-        # pattern takes only the -123 and -1.5 forms for numbers, and -1e308
-        # for an option.  No flag of this CLI looks like a number.
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        # pattern takes only whole -123 and -1.5 tokens for numbers, and
+        # -1e308, -inf or -1,2,3 for an option.  This one takes a - followed
+        # by a digit, by . and a digit, or by inf or nan in any case; no flag
+        # of this CLI starts that way.
+        self._negative_number_matcher = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # noqa: A003 - argparse API
         raise CliError(EXIT_VALIDATION, message)

@@ -23,12 +23,12 @@ peaks at about 0.6 MB instead of about 64 MB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _grid_blocks, interval_distance
+from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _certificate, _grid_blocks, interval_distance
 from .scenarios import BoundedLipschitzFn, ScenarioFamily, _check_constants, _evaluate, _expectations, _row_sups
 
 __all__ = [
@@ -119,7 +119,7 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
         if isinstance(m, MaximalDist):
             axes.append(grid.points(m))
             atom_cols.append(None)
-            err += f.lipschitz * grid.spacing(m) / 2.0
+            err += _certificate(f.lipschitz, grid, m)
         else:
             axes.append(m._points)
             atom_cols.append(m._positions)
@@ -175,13 +175,7 @@ def asymmetry_probe(dA: Marginal, dB: Marginal, f: BoundedLipschitzFnN, grid: Gr
     if f.arity != 2:
         raise ValueError(f"asymmetry probe needs a binary function, got arity {f.arity}")
     ab = compose_independent(JointSpec((dA, dB)), f, grid).value
-    swapped = BoundedLipschitzFnN(
-        fn=lambda y, x: f.fn(x, y),
-        arity=2,
-        lipschitz=f.lipschitz,
-        bound=f.bound,
-        name=f.name + "~swapped" if f.name else "",
-    )
+    swapped = replace(f, fn=lambda y, x: f.fn(x, y), name=f.name + "~swapped" if f.name else "")
     ba = compose_independent(JointSpec((dB, dA)), swapped, grid).value
     return ProbeResult(ab, ba)
 

@@ -3,12 +3,16 @@
 A maximal distribution is the law under which the expectation of any test
 function f over the mean interval [mu_lo, mu_hi] equals the maximum of f
 on that interval.  Evaluation scans a uniform grid (endpoints always
-included) and reports a certified error bound lipschitz * h / 2 where h
-is the realised grid spacing; any point of the interval is within h/2 of
-a grid node, so the true maximum exceeds the grid maximum by at most that
-amount.  With ``GridSpec(refine=True)`` a Lipschitz branch-and-bound
-(Piyavskii 1972; Shubert 1972) subdivides the grid cells that could still
-hold a larger value and reports the largest remaining cell bound instead.
+included) and reports the error bound lipschitz * h / 2 of
+``_certificate``, where h = width / (n - 1) is the nominal spacing of the
+n nodes: any point of the interval is within h/2 of a node of the exact
+grid, so the true maximum exceeds the grid maximum by at most that
+amount.  The float nodes of ``np.linspace`` are not evenly spaced: their
+largest gap can exceed h by about 7e-11 relative, and the bound can then
+understate the error by that relative amount.  With
+``GridSpec(refine=True)`` a Lipschitz branch-and-bound (Piyavskii 1972;
+Shubert 1972) subdivides the grid cells that could still hold a larger
+value and reports the largest remaining cell bound instead.
 Product grids (``convolve_scaled`` and ``joint.compose_independent``) are
 walked block by block by ``_grid_blocks``, the one place that builds them.
 """
@@ -107,10 +111,11 @@ class MaximalDist:
 class GridSpec:
     """Uniform evaluation grid over a mean interval.
 
-    Exactly one of ``step`` (target spacing, the realised spacing never
-    exceeds it) or ``num`` (explicit node count, useful when two
-    computations must share bit-identical grids) must be given.  With
-    ``refine=True`` the grid scan is followed by a Lipschitz
+    Exactly one of ``step`` (target spacing: the nominal spacing
+    width / (n - 1) never exceeds it, though float nodes can lie up to
+    about 7e-11 relative farther apart) or ``num`` (explicit node count,
+    useful when two computations must share bit-identical grids) must be
+    given.  With ``refine=True`` the grid scan is followed by a Lipschitz
     branch-and-bound over the grid cells: the certificate becomes the
     largest cell upper bound minus the value found, which never exceeds
     the plain ``lipschitz * h / 2`` and is at most ``lipschitz * 1e-11``
@@ -157,13 +162,14 @@ class GridSpec:
 
     def points(self, d: MaximalDist) -> np.ndarray:
         """Grid nodes over d's interval, endpoints included."""
-        if d.degenerate:
+        if d.degenerate:  # np.linspace(-0.0, -0.0, 1) is [0.0]: it loses the sign
             return np.array([d.mu_lo])
         return np.linspace(d.mu_lo, d.mu_hi, self.nodes(d))
 
     def spacing(self, d: MaximalDist) -> float:
-        """Realised node spacing (0 for a degenerate interval)."""
-        if d.degenerate:
+        """Nominal node spacing width / (n - 1), 0 for a degenerate interval;
+        the float nodes can lie up to about 7e-11 relative farther apart."""
+        if d.degenerate:  # one node: width / (n - 1) would be 0/0
             return 0.0
         return d.width / (self.nodes(d) - 1)
 
@@ -178,6 +184,18 @@ class GridMax2(NamedTuple):
     value: float
     argmax: tuple[float, float]
     error_bound: float
+
+
+def _certificate(lipschitz: float, grid: GridSpec, d: MaximalDist) -> float:
+    """The grid certificate lipschitz * h / 2 of an f with that Lipschitz
+    constant scanned on ``grid`` over d's interval, h being
+    ``grid.spacing(d)`` (0 on a degenerate interval).
+
+    The one place that turns a spacing into a certificate: ``eval_maximal``,
+    ``convolve_scaled`` and each maximal axis of
+    ``joint.compose_independent`` take their bound from it.
+    """
+    return lipschitz * grid.spacing(d) / 2.0
 
 
 def _grid_blocks(axes: Sequence[np.ndarray], block: int, grid: GridSpec, what: str) -> Iterator[list[np.ndarray]]:
@@ -297,9 +315,7 @@ def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridM
     i = int(np.argmax(vals))
     value = float(vals[i])
     argmax = float(pts[i])
-    if d.degenerate:
-        return GridMax(value, argmax, 0.0)
-    err = f.lipschitz * grid.spacing(d) / 2.0
+    err = _certificate(f.lipschitz, grid, d)
     if grid.refine:
         value, argmax, ub = _refine(f, pts, vals, value, argmax)
         err = max(0.0, min(err, ub - value))
@@ -317,9 +333,7 @@ def dirac_family(d: MaximalDist, n_atoms: int) -> ScenarioFamily:
     """
     if n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {n_atoms!r}")
-    if d.degenerate:
-        return ScenarioFamily((DiscreteMeasure.dirac(d.mu_lo),))
-    if n_atoms < 2:
+    if n_atoms < 2 and not d.degenerate:
         raise ValueError("n_atoms must be >= 2 on a nondegenerate interval")
     pts = GridSpec(num=n_atoms).points(d)
     return ScenarioFamily(tuple(DiscreteMeasure.dirac(float(p)) for p in pts))
@@ -353,7 +367,7 @@ def convolve_scaled(d: MaximalDist, a: float, b: float, f: BoundedLipschitzFn, g
         k = int(np.argmax(vals))
         if vals.flat[k] > best:  # strict: a tie keeps the earlier cell in row-major order
             best, at = float(vals.flat[k]), (float(x.flat[k]), float(y.flat[k]))
-    return GridMax2(best, at, f.lipschitz * (a + b) * grid.spacing(d) / 2.0)
+    return GridMax2(best, at, _certificate(f.lipschitz * (a + b), grid, d))
 
 
 def interval_distance(d: MaximalDist, x: float) -> float:

@@ -340,11 +340,12 @@ def _candidates(family: ScenarioFamily, values: np.ndarray) -> np.ndarray | None
 
 def _sup(family: ScenarioFamily, values: np.ndarray) -> tuple[float, int]:
     """The largest expectation of the atom ``values`` and the lowest member
-    index attaining it; large inputs run the kernel on the candidates only."""
+    index attaining it; large inputs run the kernel on the candidates only
+    (on every member, without a gather, when all of them are candidates)."""
     members = None
     if values.size >= _PRUNE_MIN_CELLS:
         keep = _candidates(family, values)
-        if keep is not None:
+        if keep is not None and not keep.all():
             members = np.flatnonzero(keep)
     means = _expectations(family, values, members)
     i = int(np.argmax(means))
@@ -355,14 +356,16 @@ def _row_sups(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
     """Each row's largest expectation, for callers that use only the largest
     over all rows (rows run along the leading axes of ``values``).
 
-    On large inputs the kernel runs on the candidate rows and members only;
+    On large inputs the kernel runs on the candidate rows and members only
+    (on every member, without a gather, when all of them are candidates);
     the other rows get -inf, which a following maximum ignores.
     """
     keep = _candidates(family, values) if values.size >= _PRUNE_MIN_CELLS else None
     if keep is None:
         return _expectations(family, values).max(axis=-1)
     rows = keep.any(axis=-1)
-    members = np.flatnonzero(keep[rows].any(axis=0))
+    cols = keep[rows].any(axis=0)
+    members = None if cols.all() else np.flatnonzero(cols)
     out = np.full(rows.shape, -np.inf)
     out[rows] = _expectations(family, values[rows], members).max(axis=-1)
     return out

@@ -1352,10 +1352,49 @@ class TestNegativeExponentValues:
         "rate": ["--mu-hi", "1", "--n-max", "4", "--reps", "2"],
     }
 
-    @pytest.mark.parametrize("value", ["-1e308", "-1.5e-3", "-.5", "-2E+3"])
+    @pytest.mark.parametrize("value", ["-1e308", "-1.5e-3", "-.5", "-2E+3", "-inf", "-nan", "-Infinity"])
     @pytest.mark.parametrize("command", sorted(TAILS))
     def test_flag_space_value_equals_flag_equals_value(self, capsys, command, value):
         spaced = run_text(capsys, [command, "--mu-lo", value, *self.TAILS[command]])
         joined = run_text(capsys, [command, f"--mu-lo={value}", *self.TAILS[command]])
         assert spaced == joined
         assert "expected one argument" not in spaced[2]
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["estimate"], "--values", "-1,2,3"),
+            (["rate", "--mu-lo", "-1", "--mu-hi", "1", "--n-max", "10", "--reps", "2"], "--n-schedule", "-5,10"),
+        ],
+    )
+    def test_a_negative_list_is_a_value(self, capsys, argv, flag, value):
+        spaced = run_text(capsys, [*argv, flag, value])
+        assert spaced == run_text(capsys, [*argv, f"{flag}={value}"])
+        assert "expected one argument" not in spaced[2]
+
+
+class TestLlnOverflowWarnings:
+    # a draw or running sum that overflows to inf exits 2 naming the
+    # non-finite mean, with no numpy warning in front of the error line
+    BIG = ["--mu-lo=0", "--mu-hi", "1.7e308", "--n-max", "4", "--reps", "1"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [*BIG, "--policy", "constant:1.7e308", "--noise", "none"],  # the running sum
+            [*BIG, "--policy", "constant:1.7e308", "--noise", "uniform:8e307"],  # a fixed mean plus noise
+            [*BIG, "--policy", "random:1.7e308", "--noise", "uniform:8e307"],  # a drawn mean plus noise
+            # a running sum of inf meets a draw of -inf: inf + -inf is nan
+            ["--mu-lo=-1e308", "--mu-hi", "7e307", "--policy", "periodic:7e307,7e307,-1e308",
+             "--noise", "two_point:8e307", "--n-max", "16", "--reps", "3"],
+        ],
+    )
+    def test_stderr_is_one_json_error_line(self, extra):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subexp.cli", "lln", "--fn", "identity", "--points", "3", *extra],
+            env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1
+        assert error_line(proc.stderr)["error"]["message"].endswith("at running mean inf")

@@ -179,6 +179,35 @@ class TestFilterDecisions:
             assert tuple(with_gate(monkeypatch, gate, lambda: sublinear_expect(fam, table.__getitem__))) == want
         assert calls == [None, None]
 
+    def test_a_constant_f_skips_the_member_gather(self, monkeypatch):
+        # every member ties, so every member is a candidate, and the kernel
+        # runs on the whole family without gathering its atoms (four grid rows
+        # of 2000 atoms are one block of the composition)
+        fam = big_family(np.random.default_rng(9))
+        const = lambda x: np.full(np.shape(x), 0.375)  # noqa: E731
+        assert _candidates(fam, _atom_values(fam, const)).all()
+        d = MaximalDist(-1.0, 0.75)
+        f = BoundedLipschitzFnN(lambda x, a: x + const(a), 2, 1.0)
+        calls = []
+        kernel = scenarios._expectations
+
+        def spy(family, values, members=None):
+            calls.append(members)
+            return kernel(family, values, members)
+
+        monkeypatch.setattr(scenarios, "_expectations", spy)
+        got = [
+            with_gate(
+                monkeypatch,
+                gate,
+                lambda: (sublinear_expect(fam, const), compose_independent(JointSpec((d, fam)), f, GridSpec(num=4))),
+            )
+            for gate in GATES
+        ]
+        assert calls == [None] * 4
+        assert got[0] == got[1]
+        assert (got[0][0], got[0][1].value) == ((0.375, 0), 1.125)
+
     def test_large_families_send_few_members_to_the_kernel(self):
         fam = big_family(np.random.default_rng(8))
         keep = _candidates(fam, _atom_values(fam, lambda x: abs(x - 0.25)))

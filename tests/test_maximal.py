@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subexp import maximal
+from subexp.joint import BoundedLipschitzFnN, JointSpec, compose_independent
 from subexp.maximal import (
     GridSpec,
     MaximalDist,
@@ -560,3 +561,47 @@ class TestOneCellGrid:
         f = BoundedLipschitzFn(lambda x: x, 1.0)
         res = convolve_scaled(MaximalDist(0.0, 1.0), 1.0, 2.0, f, GridSpec(step=math.inf))
         assert (res.value, res.argmax) == (3.0, (1.0, 1.0))
+
+
+class TestOneCertificateRule:
+    """eval_maximal, convolve_scaled and every maximal axis of
+    compose_independent report ``maximal._certificate``'s bound bit for bit."""
+
+    FN = BoundedLipschitzFn(lambda x: np.sin(3.0 * x), 3.0, name="sin3")
+    FN1 = BoundedLipschitzFnN(lambda x: np.sin(3.0 * x), 1, 3.0)
+    FN2 = BoundedLipschitzFnN(lambda x, y: np.sin(3.0 * x) - np.cos(y), 2, 3.0)
+    FIXED = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (5e-324, 5e-324), (0.0, 5e-324), (-1e-310, 2.5e-310)]
+
+    @classmethod
+    def cases(cls):
+        rng = np.random.default_rng(22)
+        drawn = []
+        for _ in range(40):
+            lo = float(rng.uniform(-10.0, 10.0))
+            drawn.append((lo, lo + float(rng.uniform(0.0, 0.1))))
+        dists = [MaximalDist(lo, hi) for lo, hi in cls.FIXED + drawn]
+        grids = [GridSpec(num=n) for n in (2, 3, 17)] + [GridSpec(step=s) for s in (0.1, 1e-3, math.inf)]
+        return [(d, g) for d in dists for g in grids] + [(d, GridSpec(num=1)) for d in dists if d.degenerate]
+
+    def test_every_path_reports_the_one_rule(self):
+        cases = self.cases()
+        for i, (d, grid) in enumerate(cases):
+            other, _ = cases[(i + 7) % len(cases)]
+            rule = maximal._certificate(3.0, grid, d)
+            assert eval_maximal(d, self.FN, grid).error_bound == rule
+            assert convolve_scaled(d, 0.5, 1.75, self.FN, grid).error_bound == maximal._certificate(3.0 * 2.25, grid, d)
+            assert compose_independent(JointSpec((d,)), self.FN1, grid).error_bound == rule
+            both = rule + maximal._certificate(3.0, grid, other)
+            assert compose_independent(JointSpec((d, other)), self.FN2, grid).error_bound == both
+
+    @pytest.mark.parametrize("grid", [GridSpec(num=1), GridSpec(num=3), GridSpec(step=math.inf)])
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_negative_zero_interval_keeps_its_sign(self, grid, refine):
+        d = MaximalDist(-0.0, -0.0)
+        res = eval_maximal(d, IDENT, GridSpec(num=grid.num, step=grid.step, refine=refine))
+        assert repr(tuple(res)) == repr((-0.0, -0.0, 0.0))
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 5])
+    def test_negative_zero_interval_gives_one_dirac_at_negative_zero(self, n_atoms):
+        fam = dirac_family(MaximalDist(-0.0, -0.0), n_atoms)
+        assert repr([m.atoms for m in fam.measures]) == repr([((-0.0, 1.0),)])
