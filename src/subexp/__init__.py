@@ -115,3 +115,15 @@ def _finite_floats(values, bad) -> tuple[float, ...]:
             raise bad(i, _shown(v), True) from None
         if not math.isfinite(f):
             raise bad(i, f, True)
+
+
+def _unreadable(what: str, path: str, exc: Exception) -> str:
+    """The message for an input file that ``exc`` (an OSError, or a
+    UnicodeDecodeError or csv.Error raised while reading) made unreadable.
+
+    ``envelope.ingest_csv`` and the CLI's config and family files share
+    this wording; it lives here because the CLI reads those files without
+    loading numpy."""
+    if isinstance(exc, (FileNotFoundError, NotADirectoryError)):
+        return f"{what} does not exist: {path}"
+    return f"cannot read {what} {path}: {exc.strerror if isinstance(exc, OSError) else exc}"

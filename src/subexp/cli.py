@@ -38,6 +38,7 @@ import sys
 import tempfile
 
 import subexp
+from subexp import _unreadable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -304,22 +305,17 @@ def build_parser() -> _Parser:
 
 def _read_text(path: str, what: str) -> str:
     """The text of an input file; a missing or unreadable one is a data
-    error naming it.
-
-    ``envelope.ingest_csv`` words its file errors the same way; keep the
-    two in step.  Config and family files are not read through envelope
-    because importing it loads numpy: ``--config`` goes with any command,
-    ``estimate --values`` included, which loads no numpy, and
-    ``eval --family`` loads no layer but scenarios."""
+    error naming it, worded by ``subexp._unreadable`` as
+    ``envelope.ingest_csv`` words its own.  Config and family files are
+    not read through envelope because importing it loads numpy:
+    ``--config`` goes with any command, ``estimate --values`` included,
+    which loads no numpy, and ``eval --family`` loads no layer but
+    scenarios."""
     try:
         with open(path) as fh:
             return fh.read()
-    except (FileNotFoundError, NotADirectoryError):
-        raise CliError(EXIT_DATA, f"{what} does not exist: {path}")
-    except OSError as exc:
-        raise CliError(EXIT_DATA, f"cannot read {what} {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise CliError(EXIT_DATA, f"cannot read {what} {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(EXIT_DATA, _unreadable(what, path, exc))
 
 
 def _scan_config_path(rest: list[str]) -> str | None:

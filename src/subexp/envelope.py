@@ -21,17 +21,17 @@ selector, so none is provided.
 from __future__ import annotations
 
 import csv
-import io
 import math
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _finite_floats, _shown
+from . import _finite_floats, _shown, _unreadable
 
 __all__ = [
     "DataError",
@@ -47,8 +47,13 @@ __all__ = [
 # rolling_local_variance reduces at most this many window cells at once, so
 # each temporary stays at 64 KiB, half of glibc's default mmap threshold:
 # larger chunks are mmapped and page-faulted afresh on every call (the
-# same effect made joint._BLOCK_CELLS 2**13).
+# same effect made maximal._BLOCK_CELLS 2**13).
 _CHUNK_CELLS = 1 << 13
+
+# ingest_csv parses this many rows per bulk call: few enough that the rows
+# held as lists stay small, enough that a 10k-row, two-column file parses
+# as fast as in one bulk call over every row
+_CHUNK_ROWS = 256
 
 
 class DataError(ValueError):
@@ -229,17 +234,17 @@ def _cell(row: list[str], idx: int, row_no: int, what: str) -> float:
     return v
 
 
-def _validate_rows(rows: list[list[str]], v_idx: int, t_idx: int | None) -> tuple[list, list | None]:
-    """Parse row by row, raising a DataError at the first bad row."""
-    values = []
-    stamps = [] if t_idx is not None else None
-    for row_no, row in enumerate(rows, start=1):
+def _validate_rows(rows: list[list[str]], idx: int | tuple[int, int], start: int) -> list[float]:
+    """The cells ``_bulk_column(rows, idx)`` gives, parsed row by row (the
+    first row is data row ``start``), raising a DataError at the first bad
+    row."""
+    cols = [(idx, "value")] if isinstance(idx, int) else [(idx[0], "value"), (idx[1], "timestamp")]
+    cells = []
+    for row_no, row in enumerate(rows, start=start):
         if not row or all(not c.strip() for c in row):
             raise DataError(f"row {row_no}: blank row (rows are never skipped silently)")
-        values.append(_cell(row, v_idx, row_no, "value"))
-        if t_idx is not None:
-            stamps.append(_cell(row, t_idx, row_no, "timestamp"))
-    return values, stamps
+        cells.extend(_cell(row, i, row_no, what) for i, what in cols)
+    return cells
 
 
 def _bulk_column(rows: Iterable[list[str]], idx: int | tuple[int, int]) -> tuple[float, ...]:
@@ -258,24 +263,29 @@ def _bulk_column(rows: Iterable[list[str]], idx: int | tuple[int, int]) -> tuple
     return vals
 
 
-def _bulk_columns(fh: TextIO, spec: ColumnSpec) -> tuple[tuple, tuple | None] | None:
-    """The values and timestamps read in one pass over the rows of ``fh``,
-    which are never held as lists; None if any row is bad (or there is
-    none), for the row walk to name."""
-    rows = csv.reader(fh)
-    try:
-        names = [c.strip() for c in next(rows)] if spec.needs_header() else None
-        v_idx = _resolve(spec.value, names, "value")
-        if spec.timestamp is None:
-            values, stamps = _bulk_column(rows, v_idx), None
-        else:
-            both = _bulk_column(rows, (v_idx, _resolve(spec.timestamp, names, "timestamp")))
-            values, stamps = both[0::2], both[1::2]
-    except UnicodeDecodeError:  # a ValueError, but an unreadable file, not a bad row
-        raise
-    except (ValueError, IndexError, StopIteration):
-        return None
-    return (values, stamps) if values else None
+def _columns(rows: Iterator[list[str]], spec: ColumnSpec, path: str) -> tuple[list, list | None]:
+    """The values and timestamps of the rows ``csv.reader`` yields, parsed
+    ``_CHUNK_ROWS`` rows at a time."""
+    names: list[str] | None = None
+    if spec.needs_header():
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path} is empty, expected a header row")
+        names = [c.strip() for c in header]
+    idx = _resolve(spec.value, names, "value")
+    if spec.timestamp is not None:
+        idx = (idx, _resolve(spec.timestamp, names, "timestamp"))
+    cells: list[float] = []
+    row_no = 1
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        try:
+            cells.extend(_bulk_column(chunk, idx))
+        except (ValueError, IndexError):  # walk this chunk alone to name its first bad row
+            cells.extend(_validate_rows(chunk, idx, row_no))
+        row_no += len(chunk)
+    if not cells:
+        raise DataError(f"{path} contains no data rows")
+    return (cells, None) if spec.timestamp is None else (cells[0::2], cells[1::2])
 
 
 def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
@@ -285,37 +295,24 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     raise :class:`DataError` naming the 1-based data row (counted after
     the header, when there is one).  Nothing is skipped silently.
 
-    The selected columns are parsed straight to floats in one pass over
-    the file, and rows are never held as lists.  Only when that pass fails
-    is the file read again from the start, all rows first, and walked row
-    by row to name the first bad row.  An input that cannot seek (a pipe)
-    is read into memory first, so that it can be read twice.
+    The input is read once, from the start, so a pipe is read as a file
+    is.  The selected columns are parsed straight to floats
+    ``_CHUNK_ROWS`` rows at a time; only a chunk that fails is walked row
+    by row, to name its first bad row.  At most one chunk of rows is held
+    as lists.  A file that cannot be read is reported as such even when
+    the bad row comes first: the rest of the input is read before a bad
+    row is reported.
     """
-    try:  # the messages match cli._read_text's, for config and family files
+    try:
         with open(path, newline="") as fh:
-            if not fh.seekable():  # a pipe: its bytes are kept, to be decoded as a file's are
-                fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, fh.errors, newline="")
-            columns = _bulk_columns(fh, spec)
-            if columns is None:
-                fh.seek(0)
-                rows = list(csv.reader(fh))
-    except (FileNotFoundError, NotADirectoryError):
-        raise DataError(f"input file does not exist: {path}")
-    except OSError as exc:
-        raise DataError(f"cannot read input file {path}: {exc.strerror}")
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read input file {path}: {exc}")
-    if columns is not None:
-        return TimeSeries(*columns)
-    names: list[str] | None = None
-    if spec.needs_header():
-        if not rows:
-            raise DataError(f"{path} is empty, expected a header row")
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-    v_idx = _resolve(spec.value, names, "value")
-    t_idx = _resolve(spec.timestamp, names, "timestamp") if spec.timestamp is not None else None
-    if not rows:
-        raise DataError(f"{path} contains no data rows")
-    values, stamps = _validate_rows(rows, v_idx, t_idx)
-    return TimeSeries(tuple(values), tuple(stamps) if stamps is not None else None)
+            rows = csv.reader(fh)
+            try:
+                columns = _columns(rows, spec, path)
+            except UnicodeDecodeError:  # a ValueError, but an unreadable file, not a bad row
+                raise
+            except ValueError:
+                deque(rows, maxlen=0)  # a read error further on wins over a bad row
+                raise
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(_unreadable("input file", path, exc))
+    return TimeSeries(*columns)

@@ -142,6 +142,8 @@ class GridSpec:
         ``_MAX_GRID_NODES`` before anything is allocated."""
         if d.degenerate:
             return 1
+        if not math.isfinite(d.width):  # no step or node count helps; linspace would return nan nodes
+            raise ValueError(f"interval [{d.mu_lo!r}, {d.mu_hi!r}] is too wide: its width overflows to inf")
         if self.num is not None:
             if self.num < 2:
                 raise ValueError("num must be >= 2 on a nondegenerate interval")
@@ -156,8 +158,6 @@ class GridSpec:
                 f"grid over [{d.mu_lo!r}, {d.mu_hi!r}] needs {count} nodes, over the limit of "
                 f"{_MAX_GRID_NODES}; use a larger step or fewer nodes (--step/--points)"
             )
-        if not math.isfinite(d.width):  # linspace would return nan nodes
-            raise ValueError(f"interval [{d.mu_lo!r}, {d.mu_hi!r}] is too wide: its width overflows to inf")
         return n
 
     def points(self, d: MaximalDist) -> np.ndarray:

@@ -39,28 +39,20 @@ class SampleSet:
 
     values: tuple[float, ...]
     # the extremes, computed once: the oracle reads them for every candidate pair
-    _min: float = field(init=False, repr=False, compare=False)
-    _max: float = field(init=False, repr=False, compare=False)
+    min: float = field(init=False, repr=False, compare=False)
+    max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("sample set must be nonempty")
         vals = _finite_floats(self.values, _bad_observation)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_min", min(vals))
-        object.__setattr__(self, "_max", max(vals))
+        object.__setattr__(self, "min", min(vals))
+        object.__setattr__(self, "max", max(vals))
 
     @property
     def n(self) -> int:
         return len(self.values)
-
-    @property
-    def min(self) -> float:
-        return self._min
-
-    @property
-    def max(self) -> float:
-        return self._max
 
 
 @dataclass(frozen=True)

@@ -1318,10 +1318,15 @@ class TestPipedInput:
         return subprocess.run([sys.executable, "-m", "subexp.cli", *argv], input=stdin, env=env, capture_output=True, text=True)
 
     def test_a_bad_row_is_named(self):
-        # a pipe cannot seek: it is read into memory, then walked row by row
+        # a pipe is read once, as a file is, and a failed chunk walked row by row
         proc = self.run(self.ARGV, "1\nx\n3\n")
         assert (proc.returncode, proc.stdout) == (3, "")
         assert error_line(proc.stderr) == {"error": {"code": 3, "message": "row 2: non-numeric value 'x'"}}
+
+    def test_a_bad_row_past_the_first_chunk_is_named(self):
+        proc = self.run(self.ARGV, "1\n" * 300 + "x\n" + "2\n" * 300)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert error_line(proc.stderr) == {"error": {"code": 3, "message": "row 301: non-numeric value 'x'"}}
 
     def test_matches_the_same_rows_in_a_file(self, capsys, tmp_path):
         p = tmp_path / "series.csv"

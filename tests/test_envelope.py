@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import itertools
+import json
 import math
 import os
 import subprocess
@@ -412,6 +415,72 @@ class TestBulkIngest:
             TimeSeries((1.0, 2.0, float("inf"), float("nan")))
 
 
+def ingest_corpus():
+    """(id, text, spec) for files of 520 data rows with one bad row at a
+    chunk edge, the first row or the last, read with and without a header
+    and with and without a timestamp column."""
+    rows = 520
+    bad = {
+        "blank": lambda r: "",
+        "blank_cells": lambda r: " , ",
+        "missing_column": lambda r: f"{r}",
+        "non_numeric": lambda r: f"{r},x",
+        "non_finite_value": lambda r: f"{r},inf",
+        "non_finite_timestamp": lambda r: f"nan,{r}",
+    }
+    specs = {
+        ("header", "pair"): ColumnSpec(value="z", timestamp="t"),
+        ("header", "value"): ColumnSpec(value="z"),
+        ("no_header", "pair"): ColumnSpec(value=1, timestamp=0),
+        ("no_header", "value"): ColumnSpec(value=1),
+    }
+    for kind, at, (header, cols) in itertools.product(bad, (1, 255, 256, 257, 511, 512, 513, rows), specs):
+        lines = [bad[kind](r) if r == at else f"{r},{(r % 97) / 7!r}" for r in range(1, rows + 1)]
+        text = ("t,z\n" if header == "header" else "") + "".join(f"{line}\n" for line in lines)
+        yield f"{kind}-{at}-{header}-{cols}", text, specs[header, cols]
+
+
+def corpus_outcome(path, spec):
+    """The error message, or a digest of the series read."""
+    try:
+        z = ingest_csv(path, spec)
+    except DataError as exc:
+        return ["error", str(exc)]
+    return ["ok", hashlib.sha256(repr((z.values, z.timestamps)).encode()).hexdigest()]
+
+
+class TestOnePassIngest:
+    # outcomes of the two-pass reader that read a file again to name its
+    # bad row, which every chunk size must reproduce
+    FROZEN = json.loads((Path(__file__).parent / "ingest_corpus_outcomes.json").read_text())
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, "default"])
+    def test_every_chunk_size_gives_the_frozen_outcomes(self, tmp_path, monkeypatch, chunk):
+        if chunk != "default":
+            monkeypatch.setattr(envelope, "_CHUNK_ROWS", chunk)
+        p = tmp_path / "in.csv"
+        got = {}
+        for case, text, spec in ingest_corpus():
+            p.write_text(text)
+            got[case] = corpus_outcome(str(p), spec)
+        assert got == self.FROZEN
+
+    def test_a_bad_chunk_alone_is_walked(self, tmp_path, monkeypatch):
+        p = tmp_path / "in.csv"
+        p.write_text("".join(f"{r}\n" for r in range(1, 600)) + "x\n")
+        walked = []
+        walk = envelope._validate_rows
+
+        def spy(rows, idx, start):
+            walked.append((start, len(rows)))
+            return walk(rows, idx, start)
+
+        monkeypatch.setattr(envelope, "_validate_rows", spy)
+        with pytest.raises(DataError, match="^row 600: non-numeric value 'x'$"):
+            ingest_csv(str(p))
+        assert walked == [(513, 88)]
+
+
 class TestNegativeColumnIndex:
     @pytest.mark.parametrize("kwargs", [{"value": -1}, {"value": -5}, {"timestamp": -1}])
     def test_rejected(self, kwargs):
@@ -476,4 +545,29 @@ class TestStreamingMemory:
         p.write_text("t,z\n" + "".join(f"{i},{(i % 97) / 7!r}\n" for i in range(200_000)))
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run([sys.executable, "-c", self.PROBE, str(p)], env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 40.0
+
+    BAD_LAST_ROW_PROBE = (
+        "import sys\n"
+        "from subexp.envelope import ColumnSpec, DataError, ingest_csv\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "before = peak_kb()\n"
+        "try:\n"
+        "    ingest_csv(sys.argv[1], ColumnSpec(value='z', timestamp='t'))\n"
+        "except DataError as exc:\n"
+        "    assert str(exc) == \"row 200000: non-numeric value 'x'\", exc\n"
+        "print((peak_kb() - before) / 1024)\n"
+    )
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_a_bad_last_row_is_named_without_holding_the_rows(self, tmp_path):
+        # reading the file again, all rows as lists, to name the bad row grew
+        # peak RSS by about 62 MB here; one pass holds at most one chunk
+        p = tmp_path / "big.csv"
+        p.write_text("t,z\n" + "".join(f"{i},{(i % 97) / 7!r}\n" for i in range(199_999)) + "199999,x\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", self.BAD_LAST_ROW_PROBE, str(p)], env=env, capture_output=True,
+                             text=True, check=True)
         assert float(out.stdout) < 40.0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subexp import maximal
+from subexp import cli, maximal
 from subexp.joint import BoundedLipschitzFnN, JointSpec, compose_independent
 from subexp.maximal import (
     GridSpec,
@@ -73,12 +74,10 @@ class TestGridSpec:
         monkeypatch.setattr(maximal, "_MAX_GRID_NODES", 11)
         unit = MaximalDist(0.0, 1.0)
         assert len(GridSpec(num=11).points(unit)) == GridSpec(step=0.1).nodes(unit) == 11
-        wide = MaximalDist(-1e308, 1e308)  # its width overflows to inf
         for g, d, count in (
             (GridSpec(num=12), unit, "12"),
             (GridSpec(step=0.09), unit, "13"),
             (GridSpec(step=1e-300), unit, "1e+300"),
-            (GridSpec(step=1.0), wide, "inf"),
         ):
             with pytest.raises(ValueError, match=re.escape(f"needs {count} nodes, over the limit of 11")):
                 g.points(d)
@@ -424,15 +423,29 @@ class TestNonFiniteEdges:
         with pytest.raises(ValueError, match="non-finite value at point"):
             eval_maximal(MaximalDist(1.0, 1.0), huge, GridSpec(num=3))
 
-    def test_overflowing_width_is_rejected_naming_the_interval(self):
+    def test_overflowing_width_is_rejected_naming_the_interval(self, capsys):
+        # no step can help here, so the message names the width, not the node count
         wide = MaximalDist(-1e308, 1e308)
         for call in (
             lambda: eval_maximal(wide, IDENT, GridSpec(num=3)),
             lambda: GridSpec(num=3).spacing(wide),
             lambda: dirac_family(wide, 3),
+            lambda: GridSpec(step=1.0).points(wide),
+            lambda: GridSpec(step=1e300).spacing(wide),
         ):
             with pytest.raises(ValueError, match=re.escape("interval [-1e+308, 1e+308] is too wide")):
                 call()
+        for argv in (
+            ["eval", "--mu-lo=-1e308", "--mu-hi=1e308", "--fn", "identity"],  # the default step
+            ["lln", "--mu-lo=-1e308", "--mu-hi=1e308", "--fn", "identity", "--policy", "constant:0", "--n-max", "4",
+             "--reps", "1"],
+        ):
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err)["error"]["message"] == (
+                "interval [-1e+308, 1e+308] is too wide: its width overflows to inf"
+            )
 
 
 class TestConvolveScaledFiniteness:
