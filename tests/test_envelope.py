@@ -558,13 +558,15 @@ class TestStreamingMemory:
         "    ingest_csv(sys.argv[1], ColumnSpec(value='z', timestamp='t'))\n"
         "except DataError as exc:\n"
         "    assert str(exc) == \"row 200000: non-numeric value 'x'\", exc\n"
+        "else:\n"
+        "    sys.exit('the bad row was not reported')\n"
         "print((peak_kb() - before) / 1024)\n"
     )
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     def test_a_bad_last_row_is_named_without_holding_the_rows(self, tmp_path):
         # reading the file again, all rows as lists, to name the bad row grew
-        # peak RSS by about 62 MB here; one pass holds at most one chunk
+        # peak RSS by about 63 MB; one pass holds at most one chunk as lists
         p = tmp_path / "big.csv"
         p.write_text("t,z\n" + "".join(f"{i},{(i % 97) / 7!r}\n" for i in range(199_999)) + "199999,x\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
