@@ -421,6 +421,8 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
         buf = io.StringIO()
         for key in ("version", "command", "seed", "config_digest"):
             buf.write(f"# {key}={meta[key]}\n")
+        if "target_error_bound" in payload:  # lln and rate: the table has no column for it
+            buf.write(f"# target_error_bound={payload['target_error_bound']!r}\n")
         writer = csv.writer(buf, lineterminator="\n")
         header, rows = csv_table or (payload, [payload.values()])
         writer.writerow(header)

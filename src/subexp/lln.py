@@ -15,6 +15,11 @@ different seeds use independent streams, each reproducible alone, and
 A run may draw at most ``_MAX_DRAWS`` (2**28) observations per policy,
 reps * n; ``SimConfig`` rejects more before anything is allocated.
 
+A path is handed over as its means and its noise, X_i = mu_i + eps_i, and
+the two are added only where the path is stored: ``simulate_path`` adds
+them into its output row, the experiments into a lane of their pair
+buffer, a chunk at a time.  A constant policy holds no mean vector.
+
 Running sums S_n are exact sequential sums, bit for bit those of
 ``np.cumsum`` over the path, taken two paths per pass: one complex
 ``np.cumsum`` runs the two IEEE addition chains in its real and imaginary
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,9 +172,13 @@ class MeanPolicy:
         return cls("adversarial", (), fn, f"adversarial({name})")
 
     def mean_vector(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """The full mean sequence for non-adversarial kinds."""
+        """The full mean sequence for non-adversarial kinds.
+
+        A constant's is a read-only broadcast view of its one mean (stride
+        0): n entries held in no memory of their own.
+        """
         if self.kind == "constant":
-            return np.full(n, self.values[0])
+            return np.broadcast_to(self.values[0], (n,))
         if self.kind == "periodic":
             reps = -(-n // len(self.values))
             return np.tile(np.asarray(self.values), reps)[:n]
@@ -207,20 +216,19 @@ def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
         raise _outside(d, policy, float(mus[i]), i)
 
 
-def _adversarial_path(d: MaximalDist, policy: MeanPolicy, eps: np.ndarray) -> np.ndarray:
-    """Walk the path step by step; ``eps`` is the noise vector, drawn first."""
+def _adversarial_means(d: MaximalDist, policy: MeanPolicy, eps: np.ndarray) -> np.ndarray:
+    """The callback's means, step by step; ``eps`` is the noise vector, drawn first."""
     mu_lo, mu_hi, callback = d.mu_lo, d.mu_hi, policy.callback
-    x = []
+    mus = []
     total = 0.0
     for i, e in enumerate(eps.tolist()):
         running = total / i if i else 0.0
         mu = float(callback(running))
         if not (mu_lo <= mu <= mu_hi):
             raise _outside(d, policy, mu, i)
-        xi = mu + e
-        x.append(xi)
-        total += xi
-    return np.array(x)
+        mus.append(mu)
+        total += mu + e
+    return np.array(mus)
 
 
 def _rep_rng(seed: int, r: int) -> np.random.Generator:
@@ -233,20 +241,21 @@ def _walk(
     noise: NoiseSpec,
     cfg: SimConfig,
     n: int,
-    visit: Callable[[int, int, np.ndarray], None],
-) -> dict[int, tuple[int, SimulationError]]:
-    """Hand each policy's cfg.reps paths of length n, fresh arrays, to visit(p, r, path).
+    failed: dict[int, tuple[int, SimulationError]],
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield each policy's cfg.reps paths of length n as (p, r, means, noise).
 
-    The only code that draws paths.  Replications run outside, policies
-    inside: a random policy draws its means, then its noise, from
-    replication r's generator; every other policy adds replication r's
+    The path is means + noise; the caller adds the two where it stores the
+    path.  The only code that draws paths.  Replications run outside,
+    policies inside: a random policy draws its means, then its noise, from
+    replication r's generator; every other policy takes replication r's
     noise vector, drawn once.  Constant and periodic mean vectors are built
-    and checked once.  A policy whose mean leaves the interval gets no
-    further paths; returns {policy index: (replication, error)} of those.
+    and checked once, a constant's as a view holding no memory.  A policy
+    whose mean leaves the interval gets no further paths; its
+    (replication, error) goes into ``failed`` under its index.
     """
     shared = any(pol.kind != "random" for pol in policies)
     fixed = {p: pol.mean_vector(n, None) for p, pol in enumerate(policies) if pol.kind in ("constant", "periodic")}
-    failed = {}
     for p, mus in fixed.items():
         try:
             _check_means(mus, d, policies[p])
@@ -261,30 +270,32 @@ def _walk(
                 continue
             try:
                 if p in fixed:
-                    x = fixed[p] + eps
+                    mus, e = fixed[p], eps
                 elif pol.kind == "adversarial":
-                    x = _adversarial_path(d, pol, eps)
+                    mus, e = _adversarial_means(d, pol, eps), eps
                 else:
                     rng = _rep_rng(cfg.seed, r)
                     mus = pol.mean_vector(n, rng)
                     _check_means(mus, d, pol)
-                    x = mus + noise.sample(rng, n)
+                    e = noise.sample(rng, n)
             except SimulationError as exc:
                 failed[p] = (r, exc)
                 continue
-            visit(p, r, x)
-    return failed
+            yield p, r, mus, e
 
 
 def simulate_path(d: MaximalDist, policy: MeanPolicy, noise: NoiseSpec, cfg: SimConfig) -> np.ndarray:
     """Simulate cfg.reps paths of length cfg.n; returns a (reps, n) array.
 
-    The array holds all reps * n floats at once: up to 2 GiB under the
+    Each path's means and noise are added straight into its row.  The
+    array holds all reps * n floats at once: up to 2 GiB under the
     ``_MAX_DRAWS`` budget.  The experiments stream their paths instead.
     """
     out = np.empty((cfg.reps, cfg.n))
+    failed = {}
     with np.errstate(over="ignore"):  # a draw that overflows is inf, without numpy's warning
-        failed = _walk(d, [policy], noise, cfg, cfg.n, lambda _p, r, x: np.copyto(out[r], x))
+        for _p, r, mus, eps in _walk(d, [policy], noise, cfg, cfg.n, failed):
+            np.add(mus, eps, out=out[r])
     if failed:
         raise failed[0][1]
     return out
@@ -314,7 +325,9 @@ class SimReport:
 
     ``gap`` is estimate - target_or_bound in both kinds.  For kind
     "rate" a row is a violation when its gap exceeds three standard
-    errors of the Monte-Carlo mean.
+    errors of the Monte-Carlo mean.  For kind "lln" the target is a grid
+    value, and the worst case lies in [target_or_bound, target_or_bound +
+    target_error_bound]; ``target_error_bound`` is 0.0 for kind "rate".
     """
 
     kind: str
@@ -322,6 +335,7 @@ class SimReport:
     seed: int
     noise: str
     policies: tuple[str, ...]
+    target_error_bound: float
 
     CSV_COLUMNS = ("n", "policy_id", "estimate", "target_or_bound", "gap", "stderr")
 
@@ -359,6 +373,7 @@ class SimReport:
             "generator": GENERATOR_NAME,
             "noise": self.noise,
             "policies": list(self.policies),
+            "target_error_bound": self.target_error_bound,
             "rows": [dict(vars(r)) for r in self.rows],
             "summary": [dict(vars(r)) for r in self.max_rows()],
             "violations": len(self.violations()),
@@ -411,6 +426,7 @@ def _experiment(
     cfg: SimConfig,
     schedule: list[int],
     targets: Sequence[float],
+    target_error_bound: float,
     transform: Callable[[np.ndarray], np.ndarray],
 ) -> SimReport:
     """The report of transform(S_n / n)'s Monte-Carlo mean and stderr per
@@ -422,9 +438,10 @@ def _experiment(
     would meet first.
 
     Running sums are summed two paths per pass, in the order ``_walk``
-    visits them: the earlier path in the real lane of one complex buffer,
+    yields them: the earlier path in the real lane of one complex buffer,
     the later in the imaginary lane, and an odd path out with itself.  The
-    buffer takes a path in chunks of ``_PAIR_CHUNK`` draws; from the second
+    buffer takes a path in chunks of ``_PAIR_CHUNK`` draws, each the sum of
+    that chunk's means and noise, added into the lane; from the second
     chunk on, the previous chunk's last running sum sits in front of it, so
     ``np.cumsum`` makes the same chain of additions as over the whole path.
     Only the scheduled running sums are read out.
@@ -443,33 +460,26 @@ def _experiment(
     # slot 0 out, since 0.0 + -0.0 would lose a leading -0.0's sign
     buf = np.empty(min(n, _PAIR_CHUNK) + 1, dtype=complex)
     sums = np.empty(len(sched), dtype=complex)
-    pending = []  # the earlier path of a pair, until the later one comes
-
-    def visit(p: int, r: int, x: np.ndarray) -> None:
-        pending.append((p, r, x))
-        if len(pending) < 2:
-            return
-        # the earlier path in the real lane, the later one in the imaginary lane
-        (pa, ra, a), (pb, rb, b) = pending
-        pending.clear()
-        for lo, hi, ks, slots in chunks:
-            m = hi - lo
-            buf.real[1 : m + 1] = a[lo:hi]
-            buf.imag[1 : m + 1] = b[lo:hi]
-            run = buf[1 if lo == 0 else 0 : m + 1]
-            np.cumsum(run, out=run)
-            sums[ks] = buf[slots]
-            buf[0] = buf[m]
-        means[pa, ra] = sums.real / sched
-        means[pb, rb] = sums.imag / sched
-
+    failed = {}
     # a draw or running sum that overflows is inf (inf + -inf is nan), and a
     # finite check after the walk names it, so numpy's warning is not
     # printed; one context for the whole walk, as entering one costs 0.6 us
     with np.errstate(over="ignore", invalid="ignore"):
-        failed = _walk(d, policies, noise, cfg, n, visit)
-        if pending:  # an odd path out, paired with itself
-            visit(*pending[0])
+        paths = _walk(d, policies, noise, cfg, n, failed)
+        for a in paths:
+            # the earlier path in the real lane, the later one (an odd path
+            # out: itself again) in the imaginary lane
+            (pa, ra, ma, ea), (pb, rb, mb, eb) = a, next(paths, a)
+            for lo, hi, ks, slots in chunks:
+                m = hi - lo
+                np.add(ma[lo:hi], ea[lo:hi], out=buf.real[1 : m + 1])
+                np.add(mb[lo:hi], eb[lo:hi], out=buf.imag[1 : m + 1])
+                run = buf[1 if lo == 0 else 0 : m + 1]
+                np.cumsum(run, out=run)
+                sums[ks] = buf[slots]
+                buf[0] = buf[m]
+            means[pa, ra] = sums.real / sched
+            means[pb, rb] = sums.imag / sched
     if failed:
         # policy by policy, the transform of every earlier path came first
         p, (r, exc) = min(failed.items())
@@ -481,7 +491,7 @@ def _experiment(
         for pol, stats in zip(policies, _mean_and_stderr(acc, policies, schedule))
         for n, target, (est, se) in zip(schedule, targets, stats)
     ]
-    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies))
+    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies), target_error_bound)
 
 
 def empirical_lln(
@@ -497,18 +507,20 @@ def empirical_lln(
 
     One row per (n, policy).  The per-n maximum over the policy class (see
     :meth:`SimReport.max_rows`) is a lower-bound estimate of the worst
-    case; finitely many policies cannot exhaust the ambiguity.  A
-    non-finite value of f at a running mean S_n/n raises EvaluationError
-    naming that mean.
+    case; finitely many policies cannot exhaust the ambiguity.  The
+    target is ``eval_maximal``'s grid value, and the report carries its
+    error bound as ``target_error_bound``.  A non-finite value of f at a
+    running mean S_n/n raises EvaluationError naming that mean.
     """
     schedule = _checked_schedule(policies, cfg, log_schedule(cfg.n) if n_schedule is None else n_schedule)
-    target = eval_maximal(d, f, grid).value
+    target = eval_maximal(d, f, grid)
 
     def transform(means: np.ndarray) -> np.ndarray:
         at = "test function returned non-finite value {!r} at running mean {!r}"
         return _evaluate(f, (means,), lambda k, v: at.format(v, float(means[k])))
 
-    return _experiment("lln", d, policies, noise, cfg, schedule, [target] * len(schedule), transform)
+    targets = [target.value] * len(schedule)
+    return _experiment("lln", d, policies, noise, cfg, schedule, targets, target.error_bound, transform)
 
 
 def second_moment_upper(d: MaximalDist, noise: NoiseSpec) -> float:
@@ -543,4 +555,4 @@ def rate_check(
         # half-width, whose square second_moment_upper above has checked
         return np.asarray([interval_distance(d, m) ** 2 for m in means.tolist()])
 
-    return _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], transform)
+    return _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], 0.0, transform)

@@ -271,12 +271,14 @@ def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: flo
     pruned_ub = -math.inf
     evals = 0
     while True:
-        with np.errstate(over="ignore"):  # an inf bound keeps its cell live
+        with np.errstate(over="ignore"):  # a bound may overflow to inf
             w = b - a
             ub = 0.5 * (fa + fb) + 0.5 * lip * w
             mid = a + 0.5 * w
-        # a cell whose midpoint is not representable cannot be split further
-        live = (ub > value + tol) & (a < mid) & (mid < b)
+        # a cell whose midpoint is not representable cannot be split further;
+        # one whose bound is inf is not split either: the bound returned is
+        # then inf whatever the search finds, so the certificate stays L*h/2
+        live = (ub > value + tol) & (ub < math.inf) & (a < mid) & (mid < b)
         pruned_ub = max(pruned_ub, float(ub[~live].max(initial=-math.inf)))
         n = int(np.count_nonzero(live))
         if n == 0 or evals + n > _REFINE_MAX_EVALS:

@@ -345,6 +345,26 @@ class TestLln:
         first = lines[1].split(",")
         assert first[0] == "1" and first[2] == "1.0" and first[3] == "1.0"
 
+    # the grid sees sin(7 * +-1) = +-0.657 only; the supremum is 1.0
+    SIN7 = ["lln", "--mu-lo", "-1", "--mu-hi", "1", "--fn", "sin:7", "--policy", "constant:1",
+            "--noise", "uniform:0.1", "--n-max", "100", "--reps", "5", "--step", "0.5"]
+
+    def test_target_carries_its_error_bound_in_json(self, capsys):
+        code, obj, _ = run_json(capsys, self.SIN7)
+        assert code == 0
+        target = obj["result"]["rows"][0]["target_or_bound"]
+        assert target + obj["result"]["target_error_bound"] >= 1.0
+
+    def test_target_carries_its_error_bound_in_csv(self, capsys):
+        code, out, _ = run_text(capsys, [*self.SIN7, "--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[4].startswith("# target_error_bound=")
+        bound = float(lines[4].split("=", 1)[1])
+        target = float(lines[6].split(",")[3])
+        assert lines[5] == "n,policy_id,estimate,target_or_bound,gap,stderr"
+        assert target + bound >= 1.0
+
     def test_policy_required(self, capsys):
         code, _, err = run_text(
             capsys, ["lln", "--mu-lo", "0", "--mu-hi", "1", "--fn", "identity"]

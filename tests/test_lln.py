@@ -18,7 +18,7 @@ from subexp.lln import (
     second_moment_upper,
     simulate_path,
 )
-from subexp.maximal import GridSpec, MaximalDist
+from subexp.maximal import GridSpec, MaximalDist, eval_maximal
 from subexp.scenarios import BoundedLipschitzFn
 
 IDENT = BoundedLipschitzFn(lambda x: x, 1.0, name="id")
@@ -74,6 +74,11 @@ class TestMeanPolicy:
         rng = np.random.default_rng(0)
         v = MeanPolicy.constant(0.0).mean_vector(5, rng)
         assert np.all(v == 0.0) and v.shape == (5,)
+
+    def test_constant_vector_is_a_read_only_view(self):
+        v = MeanPolicy.constant(0.5).mean_vector(1 << 20, None)
+        assert v.strides == (0,) and not v.flags.writeable
+        assert v.shape == (1 << 20,) and v[-1] == 0.5
 
     def test_periodic_vector(self):
         rng = np.random.default_rng(0)
@@ -308,6 +313,17 @@ class TestEmpiricalLln:
         assert len(obj["rows"]) == 4
         assert "lower bound" in obj["estimate_semantics"]
         assert rep.violations() == []  # only rate reports flag violations
+
+    def test_report_carries_the_target_error_bound(self):
+        d = MaximalDist(-1.0, 1.0)
+        sin7 = BoundedLipschitzFn(lambda x: math.sin(7 * x), 7.0, name="sin7")
+        grid = GridSpec(step=0.5)
+        cfg = SimConfig(n=100, reps=5, seed=0)
+        rep = empirical_lln(d, sin7, [MeanPolicy.constant(1.0)], NoiseSpec.uniform(0.1), cfg, grid)
+        assert rep.target_error_bound == eval_maximal(d, sin7, grid).error_bound == 1.75
+        assert rep.to_json_obj()["target_error_bound"] == 1.75
+        rate = rate_check(d, [MeanPolicy.constant(1.0)], NoiseSpec.uniform(0.1), cfg, [1, 100])
+        assert rate.target_error_bound == 0.0
 
 
 class TestSecondMomentUpper:
@@ -552,7 +568,9 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.uniform(0.5), NoiseSpec.two_point(0.3)])
     def test_a_policy_failing_mid_run_keeps_its_error(self, monkeypatch, noise):
-        failed = lln._walk(self.D, [self.RISKY], noise, self.CFG, 30, lambda p, r, x: None)
+        failed = {}
+        for _ in lln._walk(self.D, [self.RISKY], noise, self.CFG, 30, failed):
+            pass
         assert failed[0][0] > 0  # earlier replications of it were summed first
         policies = self.FAILING
         for run in (
@@ -632,6 +650,34 @@ class TestPairBufferMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 56 * n + (2 << 20)
+
+    @staticmethod
+    def _peak_per_draw(policies, n):
+        """Traced peak of a reps=1 rate_check of length n, as the test above measures it."""
+        import tracemalloc
+
+        d = MaximalDist(-1.0, 1.0)
+        rate_check(d, policies, NoiseSpec.uniform(0.5), SimConfig(n=10, reps=1, seed=0), [10])  # warm up
+        tracemalloc.start()
+        try:
+            rate_check(d, policies, NoiseSpec.uniform(0.5), SimConfig(n=n, reps=1, seed=0), log_schedule(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_paths_are_added_where_they_are_summed(self):
+        # the noise vector (8 bytes a draw), the periodic means (8) and the
+        # check of the constants' means (1); a path array per policy, or a
+        # mean vector per constant, would add 8 bytes a draw each
+        n = 1 << 20
+        policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0),
+                    MeanPolicy.periodic([-1.0, 1.0])]
+        assert self._peak_per_draw(policies, n) <= 18 * n + (2 << 20)
+
+    def test_constant_policies_hold_no_mean_vector(self):
+        n = 1 << 20
+        policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0)]
+        assert self._peak_per_draw(policies, n) <= 10 * n + (2 << 20)
 
 
 class TestDrawBudget:

@@ -249,6 +249,23 @@ class TestRefineSoundness:
         assert res.value <= 0.0 <= res.value + res.error_bound
         assert 400.0 * 1e-11 < res.error_bound <= 400.0 * 0.25 / 2
 
+    @pytest.mark.parametrize("lo, hi, spec", [(0.0, 2.0, "abs:1.7e308"), (-0.0, 1.7e308, "identity")])
+    def test_a_cell_whose_bound_is_inf_is_not_searched(self, lo, hi, spec):
+        # the cell bound overflows to inf; searching the cell could not lower
+        # the bound returned, so the certificate is L*h/2 either way
+        d = MaximalDist(lo, hi)
+        fn = cli.build_fn(spec, max(abs(lo), abs(hi)))
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return fn.fn(x)
+
+        f = BoundedLipschitzFn(counted, fn.lipschitz, fn.bound)
+        refined = eval_maximal(d, f, GridSpec(num=3, refine=True))
+        assert sum(points) == 3  # the grid nodes only
+        assert refined == eval_maximal(d, fn, GridSpec(num=3))
+
     def test_scalar_only_function_under_the_cap(self, monkeypatch):
         monkeypatch.setattr(maximal, "_REFINE_MAX_EVALS", 2000)
         calls = []
