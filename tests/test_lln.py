@@ -652,7 +652,7 @@ class TestPairBufferMemory:
         assert peak <= 56 * n + (2 << 20)
 
     @staticmethod
-    def _peak_per_draw(policies, n):
+    def _traced_peak(policies, n):
         """Traced peak of a reps=1 rate_check of length n, as the test above measures it."""
         import tracemalloc
 
@@ -667,17 +667,17 @@ class TestPairBufferMemory:
 
     def test_paths_are_added_where_they_are_summed(self):
         # the noise vector (8 bytes a draw), the periodic means (8) and the
-        # check of the constants' means (1); a path array per policy, or a
+        # 1 MiB pair buffer (1 at n = 2^20); a path array per policy, or a
         # mean vector per constant, would add 8 bytes a draw each
         n = 1 << 20
         policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0),
                     MeanPolicy.periodic([-1.0, 1.0])]
-        assert self._peak_per_draw(policies, n) <= 18 * n + (2 << 20)
+        assert self._traced_peak(policies, n) <= 18 * n + (2 << 20)
 
     def test_constant_policies_hold_no_mean_vector(self):
         n = 1 << 20
         policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0)]
-        assert self._peak_per_draw(policies, n) <= 10 * n + (2 << 20)
+        assert self._traced_peak(policies, n) <= 10 * n + (2 << 20)
 
 
 class TestDrawBudget:
