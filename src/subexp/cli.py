@@ -412,19 +412,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | None) -> None:
+def _emit(args, meta: dict, payload: dict, csv_table: tuple | None) -> None:
     try:  # also the check for CSV output: neither format prints inf or nan
         text = json.dumps({"meta": meta, "result": payload}, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:  # a number overflowed
         raise CliError(EXIT_VALIDATION, f"{meta['command']} result holds a non-finite number")
     if args.format == "csv":
+        header, rows, *notes = csv_table or (payload, [payload.values()])
         buf = io.StringIO()
         for key in ("version", "command", "seed", "config_digest"):
             buf.write(f"# {key}={meta[key]}\n")
-        if "target_error_bound" in payload:  # lln and rate: the table has no column for it
-            buf.write(f"# target_error_bound={payload['target_error_bound']!r}\n")
+        for note in notes:
+            buf.write(f"# {note}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        header, rows = csv_table or (payload, [payload.values()])
         writer.writerow(header)
         writer.writerows(rows)
         text = buf.getvalue()
@@ -438,8 +438,10 @@ def _emit(args, meta: dict, payload: dict, csv_table: tuple[list, list[list]] | 
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (payload, csv_table, exit_code); a csv_table of
-# None writes the payload's keys and values as the header and the one row
+# command handlers: return (payload, csv_table, exit_code); a csv_table is
+# (header, rows) or (header, rows, note), a note being one more comment line
+# after the meta lines, and None writes the payload's keys and values as the
+# header and the one row
 
 
 def _load_family(path: str) -> subexp.ScenarioFamily:
@@ -507,7 +509,8 @@ def _cmd_lln(args):
     d, policies, noise, cfg, schedule = _simulation(args, _need_a_policy)
     fn = build_fn(args.fn, max(abs(d.mu_lo), abs(d.mu_hi)) + noise.half_width)
     report = subexp.empirical_lln(d, fn, policies, noise, cfg, _grid_from_args(args), schedule)
-    return report.to_json_obj(), (report.CSV_COLUMNS, report.csv_rows()), EXIT_OK
+    note = f"target_error_bound={report.target_error_bound!r}"  # the table has no column for it
+    return report.to_json_obj(), (report.CSV_COLUMNS, report.csv_rows(), note), EXIT_OK
 
 
 def _default_rate_policies(d: subexp.MaximalDist) -> list[subexp.MeanPolicy]:

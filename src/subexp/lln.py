@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -210,6 +210,7 @@ def _outside(d: MaximalDist, policy: MeanPolicy, mu: float, i: int) -> Simulatio
 
 
 def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
+    mus = mus[:1] if mus.strides == (0,) else mus  # a constant's view: one entry stands for all
     bad = np.flatnonzero(~((mus >= d.mu_lo) & (mus <= d.mu_hi)))  # nan is outside too
     if bad.size:
         i = int(bad[0])
@@ -327,7 +328,8 @@ class SimReport:
     "rate" a row is a violation when its gap exceeds three standard
     errors of the Monte-Carlo mean.  For kind "lln" the target is a grid
     value, and the worst case lies in [target_or_bound, target_or_bound +
-    target_error_bound]; ``target_error_bound`` is 0.0 for kind "rate".
+    target_error_bound]; ``target_error_bound`` is 0.0 for kind "rate",
+    whose bound is exact, and only an "lln" report's JSON carries it.
     """
 
     kind: str
@@ -335,7 +337,7 @@ class SimReport:
     seed: int
     noise: str
     policies: tuple[str, ...]
-    target_error_bound: float
+    target_error_bound: float = 0.0
 
     CSV_COLUMNS = ("n", "policy_id", "estimate", "target_or_bound", "gap", "stderr")
 
@@ -373,7 +375,7 @@ class SimReport:
             "generator": GENERATOR_NAME,
             "noise": self.noise,
             "policies": list(self.policies),
-            "target_error_bound": self.target_error_bound,
+            **({"target_error_bound": self.target_error_bound} if self.kind == "lln" else {}),
             "rows": [dict(vars(r)) for r in self.rows],
             "summary": [dict(vars(r)) for r in self.max_rows()],
             "violations": len(self.violations()),
@@ -426,7 +428,6 @@ def _experiment(
     cfg: SimConfig,
     schedule: list[int],
     targets: Sequence[float],
-    target_error_bound: float,
     transform: Callable[[np.ndarray], np.ndarray],
 ) -> SimReport:
     """The report of transform(S_n / n)'s Monte-Carlo mean and stderr per
@@ -491,7 +492,7 @@ def _experiment(
         for pol, stats in zip(policies, _mean_and_stderr(acc, policies, schedule))
         for n, target, (est, se) in zip(schedule, targets, stats)
     ]
-    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies), target_error_bound)
+    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies))
 
 
 def empirical_lln(
@@ -519,8 +520,8 @@ def empirical_lln(
         at = "test function returned non-finite value {!r} at running mean {!r}"
         return _evaluate(f, (means,), lambda k, v: at.format(v, float(means[k])))
 
-    targets = [target.value] * len(schedule)
-    return _experiment("lln", d, policies, noise, cfg, schedule, targets, target.error_bound, transform)
+    report = _experiment("lln", d, policies, noise, cfg, schedule, [target.value] * len(schedule), transform)
+    return replace(report, target_error_bound=target.error_bound)
 
 
 def second_moment_upper(d: MaximalDist, noise: NoiseSpec) -> float:
@@ -555,4 +556,4 @@ def rate_check(
         # half-width, whose square second_moment_upper above has checked
         return np.asarray([interval_distance(d, m) ** 2 for m in means.tolist()])
 
-    return _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], 0.0, transform)
+    return _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], transform)

@@ -275,10 +275,14 @@ def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: flo
             w = b - a
             ub = 0.5 * (fa + fb) + 0.5 * lip * w
             mid = a + 0.5 * w
+            # f >= g - lip * w on a cell whose larger end value is g, so when
+            # 2g - lip * w > 2**1024 (here with a margin for rounding) every
+            # part of the cell that keeps that end bounds at inf at any depth
+            stuck = (ub == math.inf) & (np.maximum(fa, fb) - 2.0**1023 > 0.5 * lip * w * (1 + 2.0**-40))
         # a cell whose midpoint is not representable cannot be split further;
-        # one whose bound is inf is not split either: the bound returned is
-        # then inf whatever the search finds, so the certificate stays L*h/2
-        live = (ub > value + tol) & (ub < math.inf) & (a < mid) & (mid < b)
+        # a stuck one is not split either, since the bound returned would be
+        # inf whatever the search found in it
+        live = (ub > value + tol) & ~stuck & (a < mid) & (mid < b)
         pruned_ub = max(pruned_ub, float(ub[~live].max(initial=-math.inf)))
         n = int(np.count_nonzero(live))
         if n == 0 or evals + n > _REFINE_MAX_EVALS:

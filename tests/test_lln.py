@@ -324,6 +324,7 @@ class TestEmpiricalLln:
         assert rep.to_json_obj()["target_error_bound"] == 1.75
         rate = rate_check(d, [MeanPolicy.constant(1.0)], NoiseSpec.uniform(0.1), cfg, [1, 100])
         assert rate.target_error_bound == 0.0
+        assert "target_error_bound" not in rate.to_json_obj()  # a rate bound is exact
 
 
 class TestSecondMomentUpper:
@@ -678,6 +679,20 @@ class TestPairBufferMemory:
         n = 1 << 20
         policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0)]
         assert self._traced_peak(policies, n) <= 10 * n + (2 << 20)
+
+    def test_a_constant_is_checked_at_its_one_mean(self):
+        import tracemalloc
+
+        pol = MeanPolicy.constant(2.0)
+        mus = pol.mean_vector(1 << 22, None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SimulationError, match="mean 2.0 at step 0, outside"):
+                lln._check_means(mus, MaximalDist(-1.0, 1.0), pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16  # no bool temporary of n entries
 
 
 class TestDrawBudget:

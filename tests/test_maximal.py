@@ -251,8 +251,9 @@ class TestRefineSoundness:
 
     @pytest.mark.parametrize("lo, hi, spec", [(0.0, 2.0, "abs:1.7e308"), (-0.0, 1.7e308, "identity")])
     def test_a_cell_whose_bound_is_inf_is_not_searched(self, lo, hi, spec):
-        # the cell bound overflows to inf; searching the cell could not lower
-        # the bound returned, so the certificate is L*h/2 either way
+        # the values at a cell's larger end overflow any sum with a value
+        # inside it, so no search could lower the bound returned below inf,
+        # and the certificate is L*h/2 either way
         d = MaximalDist(lo, hi)
         fn = cli.build_fn(spec, max(abs(lo), abs(hi)))
         points = []
@@ -265,6 +266,29 @@ class TestRefineSoundness:
         refined = eval_maximal(d, f, GridSpec(num=3, refine=True))
         assert sum(points) == 3  # the grid nodes only
         assert refined == eval_maximal(d, fn, GridSpec(num=3))
+
+    def test_a_bound_that_overflows_in_its_lipschitz_term_is_searched(self, capsys):
+        # f = -x^4 with L = 4e231: the one cell bounds at inf through L*w/2,
+        # its parts do not, and L*h/2 overflows too
+        argv = ["eval", "--mu-lo=0", "--mu-hi=1e77", "--fn", "poly:0,0,0,0,-1", "--points", "2", "--refine"]
+        assert cli.main(argv) == 0
+        res = json.loads(capsys.readouterr().out)["result"]
+        assert math.isfinite(res["error_bound"]) and res["value"] == 0.0
+        loose = eval_maximal(MaximalDist(0.0, 4.0), BoundedLipschitzFn(np.sin, 1e308), GridSpec(num=2, refine=True))
+        assert math.isfinite(loose.error_bound)
+
+    def test_a_bound_that_overflows_in_its_values_sum_is_searched_where_f_can_drop(self):
+        # f(0) = f(5e8) = 1e308 overflow their sum, but with L = 1e300 the
+        # values inside drop far enough for the parts' bounds to be finite
+        points = []
+
+        def vee(x):
+            points.append(np.size(x))
+            return (1e8 - np.minimum(x, 5e8 - x)) * 1e300
+
+        res = eval_maximal(MaximalDist(0.0, 5e8), BoundedLipschitzFn(vee, 1e300), GridSpec(num=2, refine=True))
+        assert res == maximal.GridMax(1e308, 0.0, 0.0)
+        assert sum(points) > 2
 
     def test_scalar_only_function_under_the_cap(self, monkeypatch):
         monkeypatch.setattr(maximal, "_REFINE_MAX_EVALS", 2000)
