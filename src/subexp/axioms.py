@@ -69,7 +69,7 @@ def random_fn(rng: np.random.Generator) -> BoundedLipschitzFn:
     w = float(rng.uniform(0.1, 3))
     phi = float(rng.uniform(0, 2 * math.pi))
     return BoundedLipschitzFn(
-        lambda x, s=s, w=w, phi=phi: s * math.sin(w * x + phi),
+        lambda x, s=s, w=w, phi=phi: s * np.sin(w * x + phi),
         abs(s * w),
         bound=abs(s),
         name=f"sine({s:.3g},{w:.3g})",

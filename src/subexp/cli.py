@@ -88,6 +88,14 @@ def _float_above(exact) -> float:
     return math.nextafter(x, math.inf) if x < exact else x
 
 
+def _exact(v: float):
+    """v as an exact rational; a non-finite v stays a float, and so does
+    every sum or product it enters."""
+    from fractions import Fraction
+
+    return Fraction(v) if math.isfinite(v) else v
+
+
 def build_fn(spec: str, radius: float) -> subexp.BoundedLipschitzFn:
     """Construct a named test function with a Lipschitz constant valid on
     [-radius, radius].
@@ -109,10 +117,11 @@ def build_fn(spec: str, radius: float) -> subexp.BoundedLipschitzFn:
     if name == "identity":
         return subexp.BoundedLipschitzFn(lambda x: x, 1.0, bound=R, name=spec)
     if name == "square":
-        return subexp.BoundedLipschitzFn(lambda x: x * x, 2.0 * R, bound=R * R, name=spec)
+        return subexp.BoundedLipschitzFn(lambda x: x * x, 2.0 * R, bound=_float_above(_exact(R) ** 2), name=spec)
     if name == "abs":
         c = args[0] if args else 0.0
-        return subexp.BoundedLipschitzFn(lambda x: abs(x - c), 1.0, bound=R + abs(c), name=spec)
+        bnd = _float_above(_exact(R) + _exact(abs(c)))
+        return subexp.BoundedLipschitzFn(lambda x: abs(x - c), 1.0, bound=bnd, name=spec)
     if name in ("sin", "cos"):
         w = args[0] if args else 1.0
         wave = getattr(np, name)
@@ -120,16 +129,11 @@ def build_fn(spec: str, radius: float) -> subexp.BoundedLipschitzFn:
     if name == "poly":
         if not args:
             raise CliError(EXIT_VALIDATION, "poly needs coefficients, e.g. poly:0,0,-1")
-        from fractions import Fraction
-
-        def exact(v):  # a non-finite value stays a float, and so does every sum it enters
-            return Fraction(v) if math.isfinite(v) else v
-
         powers = [1]  # R**k, exactly
         for _ in args[1:]:
-            powers.append(powers[-1] * exact(R))
-        lip = _float_above(sum(k * exact(abs(c)) * powers[k - 1] for k, c in enumerate(args) if k >= 1))
-        bnd = _float_above(sum(exact(abs(c)) * powers[k] for k, c in enumerate(args)))
+            powers.append(powers[-1] * _exact(R))
+        lip = _float_above(sum(k * _exact(abs(c)) * powers[k - 1] for k, c in enumerate(args) if k >= 1))
+        bnd = _float_above(sum(_exact(abs(c)) * powers[k] for k, c in enumerate(args)))
 
         def p(x, coeffs=tuple(args)):
             acc = 0.0

@@ -24,9 +24,9 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -234,58 +234,56 @@ def _cell(row: list[str], idx: int, row_no: int, what: str) -> float:
     return v
 
 
-def _validate_rows(rows: list[list[str]], idx: int | tuple[int, int], start: int) -> list[float]:
-    """The cells ``_bulk_column(rows, idx)`` gives, parsed row by row (the
-    first row is data row ``start``), raising a DataError at the first bad
-    row."""
-    cols = [(idx, "value")] if isinstance(idx, int) else [(idx[0], "value"), (idx[1], "timestamp")]
-    cells = []
+def _validate_rows(rows: list[list[str]], cols: list[tuple[int, str]], start: int) -> list[list[float]]:
+    """The cells ``_bulk_column`` gives for each ``(index, name)`` column of
+    ``cols``, parsed row by row (the first row is data row ``start``),
+    raising a DataError at the first bad row."""
+    columns: list[list[float]] = [[] for _ in cols]
     for row_no, row in enumerate(rows, start=start):
         if not row or all(not c.strip() for c in row):
             raise DataError(f"row {row_no}: blank row (rows are never skipped silently)")
-        cells.extend(_cell(row, i, row_no, what) for i, what in cols)
-    return cells
+        for cells, (i, what) in zip(columns, cols):
+            cells.append(_cell(row, i, row_no, what))
+    return columns
 
 
-def _bulk_column(rows: Iterable[list[str]], idx: int | tuple[int, int]) -> tuple[float, ...]:
-    """The cells at ``idx`` of every row, parsed as finite floats in one pass.
+def _bulk_column(rows: list[list[str]], i: int) -> tuple[float, ...]:
+    """Cell ``i`` of every row, parsed as finite floats in one pass.
 
-    An ``(i, j)`` pair gives cells i and j of each row in turn.  Raises
-    ValueError or IndexError on any bad cell.
+    Raises ValueError or IndexError on any bad cell.
     """
-    if isinstance(idx, int):
-        cells = map(itemgetter(idx), rows)
-    else:
-        cells = chain.from_iterable(map(itemgetter(*idx), rows))
-    vals = tuple(map(float, cells))  # float() ignores padding as strip() does
+    vals = tuple(map(float, map(itemgetter(i), rows)))  # float() ignores padding as strip() does
     if not all(map(math.isfinite, vals)):
         raise ValueError("non-finite cell")
     return vals
 
 
-def _columns(rows: Iterator[list[str]], spec: ColumnSpec, path: str) -> tuple[list, list | None]:
-    """The values and timestamps of the rows ``csv.reader`` yields, parsed
-    ``_CHUNK_ROWS`` rows at a time."""
+def _columns(rows: Iterator[list[str]], spec: ColumnSpec, path: str) -> list[list[float]]:
+    """The value column, then the timestamp column if one is chosen, of the
+    rows ``csv.reader`` yields, each parsed on its own ``_CHUNK_ROWS`` rows
+    at a time."""
     names: list[str] | None = None
     if spec.needs_header():
         header = next(rows, None)
         if header is None:
             raise DataError(f"{path} is empty, expected a header row")
         names = [c.strip() for c in header]
-    idx = _resolve(spec.value, names, "value")
+    cols = [(_resolve(spec.value, names, "value"), "value")]
     if spec.timestamp is not None:
-        idx = (idx, _resolve(spec.timestamp, names, "timestamp"))
-    cells: list[float] = []
+        cols.append((_resolve(spec.timestamp, names, "timestamp"), "timestamp"))
+    columns: list[list[float]] = [[] for _ in cols]
     row_no = 1
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         try:
-            cells.extend(_bulk_column(chunk, idx))
+            parsed = [_bulk_column(chunk, i) for i, _ in cols]
         except (ValueError, IndexError):  # walk this chunk alone to name its first bad row
-            cells.extend(_validate_rows(chunk, idx, row_no))
+            parsed = _validate_rows(chunk, cols, row_no)
+        for cells, new in zip(columns, parsed):
+            cells.extend(new)
         row_no += len(chunk)
-    if not cells:
+    if not columns[0]:
         raise DataError(f"{path} contains no data rows")
-    return (cells, None) if spec.timestamp is None else (cells[0::2], cells[1::2])
+    return columns
 
 
 def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
@@ -296,7 +294,7 @@ def ingest_csv(path: str, spec: ColumnSpec = ColumnSpec()) -> TimeSeries:
     the header, when there is one).  Nothing is skipped silently.
 
     The input is read once, from the start, so a pipe is read as a file
-    is.  The selected columns are parsed straight to floats
+    is.  Each selected column is parsed straight to floats on its own,
     ``_CHUNK_ROWS`` rows at a time; only a chunk that fails is walked row
     by row, to name its first bad row.  At most one chunk of rows is held
     as lists.  A file that cannot be read is reported as such even when

@@ -18,7 +18,8 @@ reps * n; ``SimConfig`` rejects more before anything is allocated.
 A path is handed over as its means and its noise, X_i = mu_i + eps_i, and
 the two are added only where the path is stored: ``simulate_path`` adds
 them into its output row, the experiments into a lane of their pair
-buffer, a chunk at a time.  A constant policy holds no mean vector.
+buffer, a chunk at a time.  A constant policy holds no mean vector, and
+"none" noise no noise vector.
 
 Running sums S_n are exact sequential sums, bit for bit those of
 ``np.cumsum`` over the path, taken two paths per pass: one complex
@@ -54,6 +55,9 @@ __all__ = [
 
 # written into every report, so output of an earlier stream rule can be told apart
 GENERATOR_NAME = "numpy-pcg64:SeedSequence(seed,spawn_key=(r,))"
+# family-wise level of SimReport.violations: a rate report of a bound that
+# holds flags some row with probability at most this
+VIOLATION_LEVEL = 0.05
 # SimConfig rejects more draws per policy (reps * n) than this, before any
 # simulation allocates or runs.
 _MAX_DRAWS = 1 << 28
@@ -120,8 +124,9 @@ class NoiseSpec:
         return "none" if self.kind == "none" else f"{self.kind}:{self.half_width}"
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of the noise; for "none", a read-only stride-0 view of 0.0."""
         if self.kind == "none":
-            return np.zeros(n)
+            return np.broadcast_to(0.0, (n,))
         if self.kind == "uniform":
             return rng.uniform(-self.half_width, self.half_width, n)
         return (2.0 * rng.integers(0, 2, n) - 1.0) * self.half_width
@@ -325,8 +330,9 @@ class SimReport:
     """Tabular result of an LLN or rate experiment.
 
     ``gap`` is estimate - target_or_bound in both kinds.  For kind
-    "rate" a row is a violation when its gap exceeds three standard
-    errors of the Monte-Carlo mean.  For kind "lln" the target is a grid
+    "rate" a row is a violation when its gap exceeds a confidence radius
+    (see :meth:`violations`); ``row_range`` bounds the values a rate row
+    averages, ``reps`` of them.  For kind "lln" the target is a grid
     value, and the worst case lies in [target_or_bound, target_or_bound +
     target_error_bound]; ``target_error_bound`` is 0.0 for kind "rate",
     whose bound is exact, and only an "lln" report's JSON carries it.
@@ -338,6 +344,8 @@ class SimReport:
     noise: str
     policies: tuple[str, ...]
     target_error_bound: float = 0.0
+    reps: int = 1
+    row_range: float = math.inf
 
     CSV_COLUMNS = ("n", "policy_id", "estimate", "target_or_bound", "gap", "stderr")
 
@@ -351,9 +359,26 @@ class SimReport:
         return [out[n] for n in sorted(out)]
 
     def violations(self) -> list[SimRow]:
+        """The rate rows whose estimate exceeds the bound by more than a
+        one-sided confidence radius at level delta = VIOLATION_LEVEL / rows,
+        so that, by a union bound, a report of a bound that holds flags any
+        row with probability at most VIOLATION_LEVEL.
+
+        For values in [0, B], B = ``row_range``, the radius is the
+        empirical-Bernstein one, sqrt(2 V ln(2/delta) / reps) + 7 B ln(2/delta)
+        / (3 (reps - 1)) with V the sample variance (Maurer and Pontil, COLT
+        2009, Thm 4), and Hoeffding's, B sqrt(ln(1/delta) / 2), at one
+        replication.  A row whose replications agree is flagged only when
+        its gap exceeds the range term.
+        """
         if self.kind != "rate":
             return []
-        return [r for r in self.rows if r.gap > 3.0 * r.stderr]
+        delta, b = VIOLATION_LEVEL / len(self.rows), self.row_range
+        if self.reps == 1:
+            return [r for r in self.rows if r.gap > b * math.sqrt(math.log(1 / delta) / 2)]
+        log = math.log(2 / delta)
+        # stderr = sqrt(V / reps), so sqrt(2 V log / reps) = stderr * sqrt(2 log)
+        return [r for r in self.rows if r.gap > r.stderr * math.sqrt(2 * log) + 7 * b * log / (3 * (self.reps - 1))]
 
     def csv_rows(self) -> list[list]:
         return [
@@ -376,6 +401,7 @@ class SimReport:
             "noise": self.noise,
             "policies": list(self.policies),
             **({"target_error_bound": self.target_error_bound} if self.kind == "lln" else {}),
+            **({"violation_level": VIOLATION_LEVEL} if self.kind == "rate" else {}),
             "rows": [dict(vars(r)) for r in self.rows],
             "summary": [dict(vars(r)) for r in self.max_rows()],
             "violations": len(self.violations()),
@@ -492,7 +518,7 @@ def _experiment(
         for pol, stats in zip(policies, _mean_and_stderr(acc, policies, schedule))
         for n, target, (est, se) in zip(schedule, targets, stats)
     ]
-    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies))
+    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies), reps=cfg.reps)
 
 
 def empirical_lln(
@@ -544,11 +570,19 @@ def rate_check(
 
     For every scheduled n the Monte-Carlo mean of dist(S_n/n, [lo, hi])^2
     is compared against second_moment_upper / n.  Rows whose estimate
-    exceeds the bound by more than three standard errors are flagged as
+    exceeds the bound by more than a confidence radius are flagged as
     violations (:meth:`SimReport.violations`).
     """
     schedule = _checked_schedule(policies, cfg, n_schedule)
     m2 = second_moment_upper(d, noise)
+    # Every mean lies in [lo, hi], so dist(S_n/n, [lo, hi]) <= |mean noise|
+    # <= a, the noise half-width.  The float running sum of n terms of size
+    # at most M + a (M = max(|lo|, |hi|)) moves S_n/n by about n u (M + a)
+    # (u = 2**-53); the allowance doubles that, and the last factor covers
+    # the rounding of the distance, its square and of this bound.
+    a = noise.half_width
+    slack = 2.0 * (max(schedule) + 2) * 2.0**-53 * (max(abs(d.mu_lo), abs(d.mu_hi)) + a)
+    row_range = (a + slack) * (a + slack) * (1 + 2.0**-48)
 
     def transform(means: np.ndarray) -> np.ndarray:
         # a scalar ** 2 (libm pow) rounds a few inputs differently from numpy's x * x;
@@ -556,4 +590,5 @@ def rate_check(
         # half-width, whose square second_moment_upper above has checked
         return np.asarray([interval_distance(d, m) ** 2 for m in means.tolist()])
 
-    return _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], transform)
+    report = _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], transform)
+    return replace(report, row_range=row_range)

@@ -257,7 +257,8 @@ def _finite_values(f: Callable, pts: np.ndarray) -> np.ndarray:
 def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: float, argmax: float):
     """Lipschitz branch-and-bound over the cells between consecutive nodes.
 
-    On a cell [a, b] an L-Lipschitz f is at most (f(a) + f(b))/2 + L(b - a)/2.
+    On a cell [a, b] an L-Lipschitz f is at most (f(a) + f(b))/2 + L(b - a)/2,
+    and at most its declared bound.
     Cells whose bound exceeds the incumbent by more than the tolerance are
     split into equal parts, all new points are evaluated in one call, and
     the incumbent is updated (ties keep the smallest x).  Returns the
@@ -279,6 +280,8 @@ def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: flo
             # 2g - lip * w > 2**1024 (here with a margin for rounding) every
             # part of the cell that keeps that end bounds at inf at any depth
             stuck = (ub == math.inf) & (np.maximum(fa, fb) - 2.0**1023 > 0.5 * lip * w * (1 + 2.0**-40))
+        # |f| <= f.bound caps every other cell's bound (inf declares no cap)
+        ub = np.where(stuck, ub, np.minimum(ub, f.bound))
         # a cell whose midpoint is not representable cannot be split further;
         # a stuck one is not split either, since the bound returned would be
         # inf whatever the search found in it

@@ -481,6 +481,78 @@ class TestOnePassIngest:
         assert walked == [(513, 88)]
 
 
+def nine_rows(line):
+    return "".join(f"{line(r)}\n" for r in range(1, 10))
+
+
+class TestColumnWiseIngest:
+    # each column is parsed on its own; these outcomes were frozen from the
+    # reader that interleaved the value and timestamp cells of each row
+    R = range(1, 10)
+    CASES = {
+        "same_index": (
+            nine_rows(lambda r: f"{r},{r / 4}"),
+            ColumnSpec(value=1, timestamp=1),
+            ("ok", (tuple(r / 4 for r in R), tuple(r / 4 for r in R))),
+        ),
+        "same_name": (
+            "t,z\n" + nine_rows(lambda r: f"{r},{r / 4}"),
+            ColumnSpec(value="z", timestamp="z"),
+            ("ok", (tuple(r / 4 for r in R), tuple(r / 4 for r in R))),
+        ),
+        "same_index_bad_row": (
+            nine_rows(lambda r: "x,1" if r == 8 else f"{r},{r}"),
+            ColumnSpec(value=0, timestamp=0),
+            ("error", "row 8: non-numeric value 'x'"),
+        ),
+        "timestamp_left": (
+            nine_rows(lambda r: f"{r},a,{-r / 8}"),
+            ColumnSpec(value=2, timestamp=0),
+            ("ok", (tuple(-r / 8 for r in R), tuple(float(r) for r in R))),
+        ),
+        "timestamp_left_short_row": (
+            nine_rows(lambda r: f"{r}" if r == 8 else f"{r},a,{r}"),
+            ColumnSpec(value=2, timestamp=0),
+            ("error", "row 8: no column 2 for the value (1 fields)"),
+        ),
+        "both_bad": (
+            nine_rows(lambda r: "x,y" if r == 8 else f"{r},{r}"),
+            ColumnSpec(value=1, timestamp=0),
+            ("error", "row 8: non-numeric value 'y'"),
+        ),
+        "both_non_finite": (
+            nine_rows(lambda r: "nan,inf" if r == 8 else f"{r},{r}"),
+            ColumnSpec(value=1, timestamp=0),
+            ("error", "row 8: value is 'inf'; missing or non-finite values are rejected"),
+        ),
+        "bad_value_missing_timestamp": (
+            nine_rows(lambda r: "x" if r == 8 else f"{r},{r}"),
+            ColumnSpec(value=0, timestamp=1),
+            ("error", "row 8: non-numeric value 'x'"),
+        ),
+        "header_names_a_column_twice": (
+            "t,z,z\n" + nine_rows(lambda r: f"{r},{r / 2},{-r}"),
+            ColumnSpec(value="z", timestamp="t"),
+            ("ok", (tuple(r / 2 for r in R), tuple(float(r) for r in R))),
+        ),
+        "header_names_a_column_twice_bad_second": (
+            "z,z\n" + nine_rows(lambda r: f"{r},x" if r == 8 else f"{r},{r}"),
+            ColumnSpec(value="z"),
+            ("ok", (tuple(float(r) for r in R), None)),
+        ),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, "default"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_frozen_outcome_at_every_chunk_size(self, tmp_path, monkeypatch, case, chunk):
+        if chunk != "default":
+            monkeypatch.setattr(envelope, "_CHUNK_ROWS", chunk)
+        text, spec, want = self.CASES[case]
+        p = tmp_path / "in.csv"
+        p.write_text(text)
+        assert TestBulkIngest.outcome(str(p), spec) == want
+
+
 class TestNegativeColumnIndex:
     @pytest.mark.parametrize("kwargs", [{"value": -1}, {"value": -5}, {"timestamp": -1}])
     def test_rejected(self, kwargs):

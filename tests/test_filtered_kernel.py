@@ -254,3 +254,15 @@ class TestBatchedAxiomSuite:
 
     def test_default_run_equals_the_six_call_loop(self):
         assert run_axiom_suite() == six_call_suite(1000, 20240801)
+
+    def test_every_random_fn_kind_takes_an_array(self):
+        # one vectorised call gives the point-by-point values, so the suite
+        # never falls back to a scalar loop
+        rng = np.random.default_rng(7)
+        x = np.linspace(-6.0, 6.0, 101)
+        kinds = set()
+        while len(kinds) < 3:
+            f = random_fn(rng)
+            kinds.add(f.name.partition("(")[0])
+            assert f(x).tolist() == [float(f(v)) for v in x.tolist()]
+        assert kinds == {"affine", "absdev", "sine"}

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -424,6 +425,36 @@ class TestRateCheck:
         assert row[2] == repr(0.0)
 
 
+class TestViolationLevel:
+    # at a degenerate interval with two_point:1 noise, dist(S_n/n)^2 is the
+    # squared mean noise, whose expectation is exactly the bound 1/n
+    EXACT = (MaximalDist(0.0, 0.0), [MeanPolicy.constant(0.0)], NoiseSpec.two_point(1.0))
+    REPRO = ["rate", "--mu-lo", "0", "--mu-hi", "0", "--noise", "two_point:1", "--policy", "constant:0", "--n-max", "100"]
+
+    @pytest.mark.parametrize("reps", [1, 2, 5])
+    def test_rows_whose_replications_agree_are_not_flagged(self, capsys, reps):
+        # the n=2 row of two replications that both gave 1.0 has gap 0.5 and stderr 0.0
+        from subexp import cli
+
+        assert cli.main(self.REPRO + ["--reps", str(reps)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["violations"] == 0
+        assert result["violation_level"] == lln.VIOLATION_LEVEL
+
+    @pytest.mark.parametrize("reps", [1, 2, 3, 5])
+    def test_the_exact_bound_flags_nothing(self, reps):
+        d, policies, noise = self.EXACT
+        rep = rate_check(d, policies, noise, SimConfig(n=1000, reps=reps, seed=3), log_schedule(1000))
+        assert rep.violations() == []
+
+    def test_a_bound_ten_times_too_small_is_flagged(self, monkeypatch):
+        m2 = lln.second_moment_upper
+        monkeypatch.setattr(lln, "second_moment_upper", lambda d, noise: m2(d, noise) / 10)
+        d, policies, noise = self.EXACT
+        rep = rate_check(d, policies, noise, SimConfig(n=100, reps=2000, seed=0), log_schedule(100))
+        assert 1 in [row.n for row in rep.violations()]
+
+
 MIXED = [
     MeanPolicy.constant(-1.0),
     MeanPolicy.random_choice([-1.0, 0.5, 2.0]),
@@ -653,15 +684,15 @@ class TestPairBufferMemory:
         assert peak <= 56 * n + (2 << 20)
 
     @staticmethod
-    def _traced_peak(policies, n):
+    def _traced_peak(policies, n, noise=NoiseSpec.uniform(0.5)):
         """Traced peak of a reps=1 rate_check of length n, as the test above measures it."""
         import tracemalloc
 
         d = MaximalDist(-1.0, 1.0)
-        rate_check(d, policies, NoiseSpec.uniform(0.5), SimConfig(n=10, reps=1, seed=0), [10])  # warm up
+        rate_check(d, policies, noise, SimConfig(n=10, reps=1, seed=0), [10])  # warm up
         tracemalloc.start()
         try:
-            rate_check(d, policies, NoiseSpec.uniform(0.5), SimConfig(n=n, reps=1, seed=0), log_schedule(n))
+            rate_check(d, policies, noise, SimConfig(n=n, reps=1, seed=0), log_schedule(n))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -679,6 +710,16 @@ class TestPairBufferMemory:
         n = 1 << 20
         policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0)]
         assert self._traced_peak(policies, n) <= 10 * n + (2 << 20)
+
+    def test_no_noise_holds_no_vector(self):
+        # the periodic means (8 bytes a draw) and the 1 MiB pair buffer; a
+        # vector of zeros for the noise would add 8 bytes a draw
+        eps = NoiseSpec.none().sample(None, 5)
+        assert eps.strides == (0,) and not eps.flags.writeable and eps.tolist() == [0.0] * 5
+        n = 1 << 20
+        policies = [MeanPolicy.constant(-1.0), MeanPolicy.constant(0.0), MeanPolicy.constant(1.0),
+                    MeanPolicy.periodic([-1.0, 1.0])]
+        assert self._traced_peak(policies, n, NoiseSpec.none()) <= 12 * n + (2 << 20)
 
     def test_a_constant_is_checked_at_its_one_mean(self):
         import tracemalloc

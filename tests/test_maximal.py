@@ -290,6 +290,30 @@ class TestRefineSoundness:
         assert res == maximal.GridMax(1e308, 0.0, 0.0)
         assert sum(points) > 2
 
+    def test_the_declared_bound_caps_every_cell_bound(self):
+        # a tent peak - s|x - c| with s * (its farthest distance) <= 2 * peak
+        # has sup-norm peak, declared as its bound: no cell bounds above it
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            lo = float(rng.uniform(-5, 5))
+            hi = lo + float(10 ** rng.uniform(-2, 2))
+            c, s = float(rng.uniform(lo, hi)), float(10 ** rng.uniform(-1, 3))
+            peak = s * max(c - lo, hi - c) * float(rng.uniform(0.5, 2))
+            f = BoundedLipschitzFn(lambda x, c=c, s=s, peak=peak: peak - s * np.abs(x - c), s, bound=peak)
+            res = eval_maximal(MaximalDist(lo, hi), f, GridSpec(num=int(rng.integers(2, 12)), refine=True))
+            slack = 1e-12 * (1.0 + s * (abs(lo) + abs(hi)))  # f is evaluated in floats
+            assert peak - slack <= res.value + res.error_bound
+            assert res.error_bound <= peak - res.value
+
+    def test_a_bounded_function_on_a_wide_interval_is_certified_by_its_bound(self, capsys):
+        # |sin| <= 1 caps the shortfall at 1 - value, where the Lipschitz
+        # bound of each cell is about 1e154
+        argv = ["eval", "--mu-lo=0", "--mu-hi=1.3e154", "--fn", "sin", "--points", "3", "--refine"]
+        assert cli.main(argv) == 0
+        res = json.loads(capsys.readouterr().out)["result"]
+        assert res["value"] + res["error_bound"] >= 1.0
+        assert res["error_bound"] <= 1.4e-12
+
     def test_scalar_only_function_under_the_cap(self, monkeypatch):
         monkeypatch.setattr(maximal, "_REFINE_MAX_EVALS", 2000)
         calls = []
