@@ -113,6 +113,8 @@ def run_axiom_suite(cases: int = 1000, seed: int = 20240801) -> AxiomSuiteReport
     """Run ``cases`` randomized axiom checks; see the module docstring."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     v_mono = 0.0
     v_const = 0.0

@@ -364,12 +364,11 @@ def _config_tokens(path: str, table: dict[str, argparse.Action], user_rest: list
             raise CliError(EXIT_VALIDATION, f"{path}:{ln}: unknown config key {key!r}")
         if isinstance(act, argparse.BooleanOptionalAction):
             low = value.lower()
-            if low in ("true", "1", "yes"):
-                tokens.append(f"--{key}")
-            elif low in ("false", "0", "no"):
-                tokens.append(f"--no-{key}")
-            else:
+            if low not in ("true", "1", "yes", "false", "0", "no"):
                 raise CliError(EXIT_VALIDATION, f"{path}:{ln}: {key} must be true or false, got {value!r}")
+            # the key is either spelling (demean, no-demean); false sets the other one
+            flag, no_flag = act.option_strings
+            tokens.append(flag if (low in ("true", "1", "yes")) == (f"--{key}" == flag) else no_flag)
         elif key in user_flags:
             continue  # explicit flag wins outright, including repeatables
         else:

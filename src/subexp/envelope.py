@@ -79,15 +79,15 @@ class TimeSeries:
         vals = _finite_floats(self.values, _bad_observation)
         object.__setattr__(self, "values", vals)
         if self.timestamps is not None:
+            stamps = tuple(self.timestamps)  # the walk reads an iterator's entries again
             try:
-                ts = tuple(map(float, self.timestamps))
+                ts = tuple(map(float, stamps))
             except (TypeError, ValueError, OverflowError):
-                for i, v in enumerate(self.timestamps):  # name the first bad entry
+                for i, v in enumerate(stamps):  # name the first bad entry
                     try:
                         float(v)
                     except (TypeError, ValueError, OverflowError):
                         raise DataError(f"timestamp {i} is not a number: {_shown(v)!r}") from None
-                raise
             if len(ts) != len(vals):
                 raise DataError(f"{len(ts)} timestamps for {len(vals)} values")
             arr = np.asarray(ts)
@@ -165,10 +165,13 @@ def rolling_local_variance(z: TimeSeries, cfg: EnvelopeConfig, t_index: int | No
     windows = sliding_window_view(np.asarray(z.values[t - need : t]), L)[::-1]
     step = max(1, _CHUNK_CELLS // L)
     out = []
-    for i in range(0, K, step):
-        w = windows[i : i + step]
-        var = np.var(w, axis=1, ddof=1) if cfg.demean else (w * w).sum(axis=1) / (L - 1)
-        out.extend(var.tolist())
+    # a variance that overflows is inf or nan, which variance_envelope names,
+    # so numpy's warning is not printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, K, step):
+            w = windows[i : i + step]
+            var = np.var(w, axis=1, ddof=1) if cfg.demean else (w * w).sum(axis=1) / (L - 1)
+            out.extend(var.tolist())
     return out
 
 

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from . import _finite_floats
 from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _certificate, _grid_blocks, interval_distance
 from .scenarios import BoundedLipschitzFn, ScenarioFamily, _check_constants, _evaluate, _expectations, _row_sups
 
@@ -96,7 +97,8 @@ def compose_independent(j: JointSpec, f: BoundedLipschitzFnN, grid: GridSpec) ->
 
     Maximal marginals are scanned on ``grid``; family marginals are exact
     finite suprema, with f evaluated once per distinct atom point.  The
-    reported bound is the sum of the per-marginal grid certificates.
+    reported bound is the sum of the per-marginal grid certificates;
+    ``grid.refine`` is ignored, as only ``maximal.eval_maximal`` reads it.
 
     Each block of ``maximal._grid_blocks`` (at most ``_BLOCK_CELLS``
     cells) is reduced over its suffix axes to one float per leading row;
@@ -218,19 +220,17 @@ def point_capacity(j: JointSpec, points: Sequence[float], k_max: int) -> PointCa
     k = 1..k_max, computed in closed form as
     prod_i 1 / (1 + k * dist(x_i, [lo_i, hi_i])).  The trace decreases in
     k toward ``value`` and serves as a diagnostic; ``value`` is the limit.
-    A non-finite coordinate raises ValueError naming it.
+    A coordinate that is not a finite number raises ValueError naming it.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max!r}")
     if len(points) != len(j.marginals):
         raise ValueError(f"{len(points)} coordinates for {len(j.marginals)} marginals")
+    xs = _finite_floats(points, lambda i, x, _number: ValueError(f"coordinate {i} of the point is not finite: {x!r}"))
     dists = []
-    for i, m in enumerate(j.marginals):
+    for i, (m, x) in enumerate(zip(j.marginals, xs)):
         if not isinstance(m, MaximalDist):
             raise TypeError(f"point_capacity needs maximal marginals; marginal {i} is {type(m).__name__}")
-        x = float(points[i])
-        if not math.isfinite(x):
-            raise ValueError(f"coordinate {i} of the point is not finite: {x!r}")
         dists.append(interval_distance(m, x))
     value = 1.0 if all(dd == 0.0 for dd in dists) else 0.0
     trace = []

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -179,17 +179,16 @@ class MeanPolicy:
     def mean_vector(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """The full mean sequence for non-adversarial kinds.
 
-        A constant's is a read-only broadcast view of its one mean (stride
-        0): n entries held in no memory of their own.
+        A constant's, or a period of one mean, is a read-only broadcast
+        view of that mean (stride 0): n entries held in no memory of their own.
         """
-        if self.kind == "constant":
-            return np.broadcast_to(self.values[0], (n,))
-        if self.kind == "periodic":
-            reps = -(-n // len(self.values))
-            return np.tile(np.asarray(self.values), reps)[:n]
+        if self.kind == "adversarial":
+            raise ValueError("adversarial policies generate means stepwise, not as a vector")
+        vals = np.asarray(self.values)
         if self.kind == "random":
-            return rng.choice(np.asarray(self.values), size=n)
-        raise ValueError("adversarial policies generate means stepwise, not as a vector")
+            return rng.choice(vals, size=n)
+        # constant or periodic
+        return np.broadcast_to(vals, (n,)) if len(vals) == 1 else np.tile(vals, -(-n // len(vals)))[:n]
 
 
 @dataclass(frozen=True)
@@ -203,6 +202,8 @@ class SimConfig:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.reps * self.n > _MAX_DRAWS:
             raise ValueError(
                 f"reps * n = {self.reps} * {self.n} = {self.reps * self.n} draws, over the limit of "
@@ -255,18 +256,14 @@ def _walk(
     path.  The only code that draws paths.  Replications run outside,
     policies inside: a random policy draws its means, then its noise, from
     replication r's generator; every other policy takes replication r's
-    noise vector, drawn once.  Constant and periodic mean vectors are built
-    and checked once, a constant's as a view holding no memory.  A policy
-    whose mean leaves the interval gets no further paths; its
-    (replication, error) goes into ``failed`` under its index.
+    noise vector, drawn once.  A constant or periodic policy's mean vector
+    is built and checked at its first use and kept, a single mean's as a
+    view holding no memory.  A policy whose mean leaves the interval gets
+    no further paths; its (replication, error) goes into ``failed`` under
+    its index.
     """
     shared = any(pol.kind != "random" for pol in policies)
-    fixed = {p: pol.mean_vector(n, None) for p, pol in enumerate(policies) if pol.kind in ("constant", "periodic")}
-    for p, mus in fixed.items():
-        try:
-            _check_means(mus, d, policies[p])
-        except SimulationError as exc:
-            failed[p] = (0, exc)
+    fixed: dict[int, np.ndarray] = {}
     for r in range(cfg.reps):
         if len(failed) == len(policies):
             break
@@ -275,15 +272,18 @@ def _walk(
             if p in failed:
                 continue
             try:
-                if p in fixed:
-                    mus, e = fixed[p], eps
-                elif pol.kind == "adversarial":
+                if pol.kind == "adversarial":
                     mus, e = _adversarial_means(d, pol, eps), eps
-                else:
+                elif pol.kind == "random":
                     rng = _rep_rng(cfg.seed, r)
                     mus = pol.mean_vector(n, rng)
                     _check_means(mus, d, pol)
                     e = noise.sample(rng, n)
+                else:
+                    mus, e = fixed.get(p), eps
+                    if mus is None:
+                        mus = fixed[p] = pol.mean_vector(n, None)
+                        _check_means(mus, d, pol)
             except SimulationError as exc:
                 failed[p] = (r, exc)
                 continue
@@ -329,11 +329,12 @@ class SimRow:
 class SimReport:
     """Tabular result of an LLN or rate experiment.
 
-    ``gap`` is estimate - target_or_bound in both kinds.  For kind
-    "rate" a row is a violation when its gap exceeds a confidence radius
-    (see :meth:`violations`); ``row_range`` bounds the values a rate row
-    averages, ``reps`` of them.  For kind "lln" the target is a grid
-    value, and the worst case lies in [target_or_bound, target_or_bound +
+    ``gap`` is estimate - target_or_bound in both kinds.  A row is a
+    violation when its gap exceeds a confidence radius (see
+    :meth:`violations`); ``row_range`` bounds the values a rate row
+    averages, ``reps`` of them.  Its default, inf, flags no row, and an
+    "lln" report keeps it.  For kind "lln" the target is a grid value, and
+    the worst case lies in [target_or_bound, target_or_bound +
     target_error_bound]; ``target_error_bound`` is 0.0 for kind "rate",
     whose bound is exact, and only an "lln" report's JSON carries it.
     """
@@ -359,7 +360,7 @@ class SimReport:
         return [out[n] for n in sorted(out)]
 
     def violations(self) -> list[SimRow]:
-        """The rate rows whose estimate exceeds the bound by more than a
+        """The rows whose estimate exceeds the bound by more than a
         one-sided confidence radius at level delta = VIOLATION_LEVEL / rows,
         so that, by a union bound, a report of a bound that holds flags any
         row with probability at most VIOLATION_LEVEL.
@@ -369,11 +370,9 @@ class SimReport:
         / (3 (reps - 1)) with V the sample variance (Maurer and Pontil, COLT
         2009, Thm 4), and Hoeffding's, B sqrt(ln(1/delta) / 2), at one
         replication.  A row whose replications agree is flagged only when
-        its gap exceeds the range term.
+        its gap exceeds the range term; with B = inf no row is flagged.
         """
-        if self.kind != "rate":
-            return []
-        delta, b = VIOLATION_LEVEL / len(self.rows), self.row_range
+        delta, b = VIOLATION_LEVEL / max(len(self.rows), 1), self.row_range  # a report without rows flags none
         if self.reps == 1:
             return [r for r in self.rows if r.gap > b * math.sqrt(math.log(1 / delta) / 2)]
         log = math.log(2 / delta)
@@ -455,9 +454,12 @@ def _experiment(
     schedule: list[int],
     targets: Sequence[float],
     transform: Callable[[np.ndarray], np.ndarray],
+    **field: float,
 ) -> SimReport:
     """The report of transform(S_n / n)'s Monte-Carlo mean and stderr per
-    (policy, scheduled n), against that n's target or bound.
+    (policy, scheduled n), against that n's target or bound; ``field`` is
+    the one report field its kind sets (``target_error_bound`` or
+    ``row_range``).
 
     Paths stream one replication at a time, so reps * n_max floats never
     exist at once; ``transform`` maps all running means in one call.  Of
@@ -518,7 +520,8 @@ def _experiment(
         for pol, stats in zip(policies, _mean_and_stderr(acc, policies, schedule))
         for n, target, (est, se) in zip(schedule, targets, stats)
     ]
-    return SimReport(kind, tuple(rows), cfg.seed, noise.label, tuple(p.label for p in policies), reps=cfg.reps)
+    labels = tuple(p.label for p in policies)
+    return SimReport(kind, tuple(rows), cfg.seed, noise.label, labels, reps=cfg.reps, **field)
 
 
 def empirical_lln(
@@ -546,8 +549,9 @@ def empirical_lln(
         at = "test function returned non-finite value {!r} at running mean {!r}"
         return _evaluate(f, (means,), lambda k, v: at.format(v, float(means[k])))
 
-    report = _experiment("lln", d, policies, noise, cfg, schedule, [target.value] * len(schedule), transform)
-    return replace(report, target_error_bound=target.error_bound)
+    targets = [target.value] * len(schedule)
+    err = target.error_bound
+    return _experiment("lln", d, policies, noise, cfg, schedule, targets, transform, target_error_bound=err)
 
 
 def second_moment_upper(d: MaximalDist, noise: NoiseSpec) -> float:
@@ -590,5 +594,5 @@ def rate_check(
         # half-width, whose square second_moment_upper above has checked
         return np.asarray([interval_distance(d, m) ** 2 for m in means.tolist()])
 
-    report = _experiment("rate", d, policies, noise, cfg, schedule, [m2 / n for n in schedule], transform)
-    return replace(report, row_range=row_range)
+    bounds = [m2 / n for n in schedule]
+    return _experiment("rate", d, policies, noise, cfg, schedule, bounds, transform, row_range=row_range)

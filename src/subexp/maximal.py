@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _shown
+from . import _finite_floats, _shown
 from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily, _evaluate
 
 __all__ = [
@@ -72,14 +72,12 @@ class MaximalDist:
     mu_hi: float
 
     def __post_init__(self) -> None:
-        try:
-            lo = float(self.mu_lo)
-            hi = float(self.mu_hi)
-        except OverflowError:  # an int too large for a float
-            ends = f"[{_shown(self.mu_lo)!r}, {_shown(self.mu_hi)!r}]"
-            raise ValueError(f"interval endpoints must be finite, got {ends}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{lo!r}, {hi!r}]")
+        def bad(i, shown, _number):
+            ends = [_shown(self.mu_lo), _shown(self.mu_hi)]
+            ends[i] = shown  # the bad endpoint as _finite_floats shows it, the other as given
+            return ValueError(f"interval endpoints must be finite, got [{ends[0]!r}, {ends[1]!r}]")
+
+        lo, hi = _finite_floats((self.mu_lo, self.mu_hi), bad)
         if lo > hi:
             raise ValueError(f"mu_lo must not exceed mu_hi, got [{lo!r}, {hi!r}]")
         object.__setattr__(self, "mu_lo", lo)
@@ -120,9 +118,12 @@ class GridSpec:
     largest cell upper bound minus the value found, which never exceeds
     the plain ``lipschitz * h / 2`` and is at most ``lipschitz * 1e-11``
     unless the evaluation cap or float resolution stops the search first.
-    A grid of more than ``_MAX_GRID_NODES`` (2**24) nodes, or over an
-    interval whose width overflows to inf, raises ValueError in ``nodes``,
-    ``points`` and ``spacing`` before anything is allocated.
+    Only ``eval_maximal`` reads ``refine`` (and so ``lln.empirical_lln``'s
+    target); the product-grid scans of ``convolve_scaled`` and
+    ``joint.compose_independent`` ignore it.  A grid of more than
+    ``_MAX_GRID_NODES`` (2**24) nodes, or over an interval whose width
+    overflows to inf, raises ValueError in ``nodes``, ``points`` and
+    ``spacing`` before anything is allocated.
     """
 
     step: float | None = None
@@ -358,6 +359,7 @@ def convolve_scaled(d: MaximalDist, a: float, b: float, f: BoundedLipschitzFn, g
     of f raises EvaluationError naming the first such point (x, xbar).
     The box is walked by ``_grid_blocks`` in blocks of at most
     ``_BLOCK_CELLS`` cells, after its ``_MAX_CELLS`` budget is checked.
+    ``grid.refine`` is ignored: only ``eval_maximal`` reads it.
     """
     a = float(a)
     b = float(b)

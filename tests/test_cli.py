@@ -1222,6 +1222,26 @@ class TestConfigAndHeaderSettings:
         want = eval_maximal(MaximalDist(0.0, 1.0), cli.build_fn("square", 1.0), GridSpec(num=7, refine=True))
         assert code == 0 and obj["result"]["error_bound"] == want.error_bound
 
+    @pytest.mark.parametrize("value, refine", [("false", True), ("true", False)])
+    def test_a_no_refine_key_sets_the_opposite_value(self, capsys, tmp_path, value, refine):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no-refine = {value}\npoints = 7\n")
+        code, obj, _ = run_json(capsys, ["eval", *_E, "--fn", "sin:3", "--config", str(cfg)])
+        want = eval_maximal(MaximalDist(0.0, 1.0), cli.build_fn("sin:3", 1.0), GridSpec(num=7, refine=refine))
+        assert code == 0 and obj["result"]["error_bound"] == want.error_bound
+        assert want.error_bound != eval_maximal(MaximalDist(0.0, 1.0), cli.build_fn("sin:3", 1.0),
+                                                GridSpec(num=7, refine=not refine)).error_bound
+
+    @pytest.mark.parametrize("value, demean", [("false", True), ("true", False), ("no", True), ("1", False)])
+    def test_a_no_demean_key_sets_the_opposite_value(self, capsys, tmp_path, value, demean):
+        data = tmp_path / "series.csv"
+        data.write_text("1\n2\n4\n3\n5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no-demean={value}\n")
+        code, obj, _ = run_json(capsys, ["envelope", "--config", str(cfg), "--input", str(data), "--window", "2",
+                                         "--num-windows", "2"])
+        assert code == 0 and obj["result"]["demean"] is demean
+
     @pytest.mark.parametrize("header, text", [("yes", "r\n1\n3\n2\n"), ("no", "1\n3\n2\n")])
     def test_an_explicit_header_setting(self, capsys, tmp_path, header, text):
         path = tmp_path / "x.csv"

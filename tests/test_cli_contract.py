@@ -3,11 +3,13 @@
 Every call must exit 0, 2 or 3; a failure prints exactly one JSON error
 line and nothing on stdout, a success prints nothing on stderr; no
 warning (numpy's overflow warnings included) is raised; and no output
-holds ``Infinity``, ``NaN`` or ``inf``.  The sweep makes 847 calls: every
-ordered pair of the endpoints below, for ``eval`` (three function specs
-on the plain grid and one with ``--refine``), ``lln``, ``rate`` and
-``estimate``, with the function spec, noise, policy and output format
-taken in turn.
+holds ``Infinity``, ``NaN`` or ``inf``.  The sweep makes 977 calls and
+covers every command: every ordered pair of the endpoints below, for
+``eval`` (three function specs on the plain grid and one with
+``--refine``), ``lln``, ``rate``, ``estimate`` and ``envelope`` (the
+series lo, hi, lo, hi), with the function spec, noise, policy,
+demeaning and output format taken in turn; and ``verify-axioms`` with a
+few case counts and seeds.
 """
 
 import itertools
@@ -30,7 +32,7 @@ FORMATS = ("json", "csv")
 NON_FINITE = re.compile(r"(?<![A-Za-z])(?:Infinity|NaN|nan|inf)(?![A-Za-z])")
 
 
-def eval_cases():
+def eval_cases(tmp_path):
     for k, (lo, hi) in enumerate(PAIRS):
         grid = [(fn, ()) for fn in (FNS[k % 7], FNS[(k + 2) % 7], FNS[(k + 4) % 7])]
         refined = [(UNBOUNDED[k % 4], ("--refine",))]
@@ -39,25 +41,45 @@ def eval_cases():
                    "--format", FORMATS[(k + j) % 2]]
 
 
-def lln_cases():
+def lln_cases(tmp_path):
     for k, (lo, hi) in enumerate(PAIRS):
         policy = (f"constant:{hi!r}", f"random:{lo!r},{hi!r}", f"periodic:{lo!r},{hi!r}")[k % 3]
         yield ["lln", f"--mu-lo={lo!r}", f"--mu-hi={hi!r}", "--fn", FNS[k % 7], "--policy", policy,
                "--noise", NOISES[k % 4], "--n-max", "8", "--reps", "2", "--points", "3", "--format", FORMATS[k % 2]]
 
 
-def rate_cases():
+def rate_cases(tmp_path):
     for k, (lo, hi) in enumerate(PAIRS):
         yield ["rate", f"--mu-lo={lo!r}", f"--mu-hi={hi!r}", "--noise", NOISES[k % 4], "--n-max", "8",
                "--reps", "2", "--format", FORMATS[k % 2]]
 
 
-def estimate_cases():
+def estimate_cases(tmp_path):
     for k, (lo, hi) in enumerate(PAIRS):
         yield ["estimate", f"--values={lo!r},{hi!r}", "--format", FORMATS[k % 2]]
 
 
-SWEEP = {"eval": (eval_cases, 484), "lln": (lln_cases, 121), "rate": (rate_cases, 121), "estimate": (estimate_cases, 121)}
+def envelope_cases(tmp_path):
+    for k, (lo, hi) in enumerate(PAIRS):
+        series = tmp_path / f"series{k}.csv"
+        series.write_text(f"{lo!r}\n{hi!r}\n{lo!r}\n{hi!r}\n")
+        yield ["envelope", "--input", str(series), "--window", "2", "--num-windows", "2",
+               ("--demean", "--no-demean")[k % 2], "--format", FORMATS[k // 2 % 2]]
+
+
+def verify_axioms_cases(tmp_path):
+    for cases, seed in itertools.product(("0", "1", "2"), ("0", "1", "-1")):
+        yield ["verify-axioms", "--cases", cases, "--seed", seed, "--format", FORMATS[int(cases) % 2]]
+
+
+SWEEP = {
+    "eval": (eval_cases, 484),
+    "lln": (lln_cases, 121),
+    "rate": (rate_cases, 121),
+    "estimate": (estimate_cases, 121),
+    "envelope": (envelope_cases, 121),
+    "verify-axioms": (verify_axioms_cases, 9),
+}
 
 
 def violations(argv, code, out, err, caught):
@@ -82,9 +104,9 @@ def violations(argv, code, out, err, caught):
 
 
 @pytest.mark.parametrize("command", sorted(SWEEP))
-def test_every_call_keeps_the_contract(capsys, command):
+def test_every_call_keeps_the_contract(capsys, tmp_path, command):
     cases, count = SWEEP[command]
-    argvs = list(cases())
+    argvs = list(cases(tmp_path))
     assert len(argvs) == count
     found, codes = [], set()
     for argv in argvs:
@@ -96,3 +118,7 @@ def test_every_call_keeps_the_contract(capsys, command):
         codes.add(code)
     assert found == []
     assert {0, 2} <= codes  # the sweep reaches both the results and the refusals
+
+
+def test_the_sweep_covers_every_command():
+    assert set(SWEEP) == set(cli._HANDLERS)

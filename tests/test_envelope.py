@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,33 @@ class TestRollingLocalVariance:
             out = rolling_local_variance(z, EnvelopeConfig(window=L, num_windows=5))
             spreads.append(max(out) - min(out))
         assert spreads[2] < spreads[0]
+
+
+class TestOverflowingVariance:
+    """A variance beyond the float range is inf or nan, without numpy's
+    warning, and ``variance_envelope`` names it; the CLI prints one JSON line."""
+
+    BIG = (1e200, 2e200, 3e200, 4e200)
+
+    @pytest.mark.parametrize("demean", [True, False])
+    def test_no_warning_and_the_envelope_names_it(self, demean):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigmas = rolling_local_variance(TimeSeries(self.BIG), EnvelopeConfig(2, 2, demean=demean))
+        assert sigmas == [math.inf, math.inf]
+        with pytest.raises(ValueError, match=r"^local variance 1 must be finite and >= 0, got inf$"):
+            variance_envelope(sigmas)
+
+    @pytest.mark.parametrize("demean", ["--demean", "--no-demean"])
+    def test_the_cli_prints_one_json_line(self, capsys, tmp_path, demean):
+        from subexp import cli
+
+        path = tmp_path / "big.csv"
+        path.write_text("".join(f"{v!r}\n" for v in self.BIG))
+        code = cli.main(["envelope", "--input", str(path), "--window", "2", "--num-windows", "2", demean])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": {"code": 2, "message": "local variance 1 must be finite and >= 0, got inf"}}
 
 
 class TestVarianceEnvelope:

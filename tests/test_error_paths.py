@@ -33,6 +33,17 @@ def _raises(call, exc_type, message):
          "candidate grid must be nonempty"),
         (lambda: subexp.run_axiom_suite(cases=0), ValueError, "cases must be >= 1, got 0"),
         (lambda: subexp.BoundedLipschitzFnN(lambda x: x, 0, 1.0), ValueError, "arity must be >= 1, got 0"),
+        (lambda: subexp.ScenarioFamily(()), ValueError, "a scenario family must contain at least one measure"),
+        (lambda: subexp.asymmetry_probe(subexp.MaximalDist(0.0, 1.0), subexp.MaximalDist(0.0, 1.0),
+                                        subexp.BoundedLipschitzFnN(lambda x, y, z: x, 3, 1.0), subexp.GridSpec(num=3)),
+         ValueError, "asymmetry probe needs a binary function, got arity 3"),
+        (lambda: subexp.unbiasedness_check(subexp.MaximalDist(0.0, 1.0), 0, 3), ValueError, "n must be >= 1, got 0"),
+        (lambda: subexp.variance_envelope([]), ValueError, "need at least one local variance"),
+        (lambda: subexp.dirac_family(subexp.MaximalDist(1.0, 1.0), 0), ValueError, "n_atoms must be >= 1, got 0"),
+        (lambda: subexp.dirac_family(subexp.MaximalDist(0.0, 1.0), 1), ValueError,
+         "n_atoms must be >= 2 on a nondegenerate interval"),
+        (lambda: subexp.SimConfig(n=1, reps=1, seed=-1), ValueError, "seed must be >= 0, got -1"),
+        (lambda: subexp.run_axiom_suite(cases=1, seed=-1), ValueError, "seed must be >= 0, got -1"),
     ],
 )
 def test_rejected_arguments(call, exc_type, message):

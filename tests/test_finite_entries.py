@@ -1,7 +1,8 @@
 """Every container of floats applies one rule: each entry parses as a
 finite float, and the first bad entry is named.
 
-``DiscreteMeasure``, ``SampleSet`` and ``TimeSeries`` share it.  A measure
+``DiscreteMeasure``, ``SampleSet`` and ``TimeSeries`` share it, and so do
+``MaximalDist``'s endpoints and ``point_capacity``'s coordinates.  A measure
 checks the shape of every atom first, then every point and weight, then
 the weights' signs, then their sum.
 """
@@ -189,6 +190,47 @@ def test_uniform_and_dirac_name_a_bad_point(call, message):
 )
 def test_an_infinite_timestamp_is_rejected(stamps, message):
     _raises(lambda: TS((1.0,) * len(stamps), stamps), DataError, message)
+
+
+def test_an_iterator_of_timestamps_is_read_once():
+    _raises(lambda: TS((1.0, 2.0), (x for x in (0.0, "a"))), DataError, "timestamp 1 is not a number: 'a'")
+    assert TS((1.0, 2.0), (x for x in (0.0, "1"))).timestamps == (0.0, 1.0)
+
+
+UNIT = subexp.MaximalDist(0.0, 1.0)
+ENDS = "interval endpoints must be finite, got "
+COORD = "coordinate {} of the point is not finite: "
+
+
+# MaximalDist endpoints and point_capacity coordinates take the same rule:
+# a bad endpoint is shown as the rule shows it, the other one as given
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: subexp.MaximalDist("x", 1.0), ENDS + "['x', 1.0]"),
+        (lambda: subexp.MaximalDist(0.0, None), ENDS + "[0.0, None]"),
+        (lambda: subexp.MaximalDist(1, inf), ENDS + "[1, inf]"),
+        (lambda: subexp.MaximalDist(np.float64(-inf), 1.0), ENDS + "[-inf, 1.0]"),
+        (lambda: subexp.MaximalDist("nan", 1.0), ENDS + "[nan, 1.0]"),
+        (lambda: subexp.MaximalDist(nan, "x"), ENDS + "[nan, 'x']"),
+        (lambda: subexp.MaximalDist(BIG, 0.0), ENDS + f"[{BIG}, 0.0]"),
+        (lambda: subexp.MaximalDist.from_dict({"mu_lo": None, "mu_hi": 1}), ENDS + "[None, 1]"),
+        (lambda: subexp.point_capacity(subexp.JointSpec((UNIT, UNIT)), (0.0, BIG), 4), COORD.format(1) + str(BIG)),
+        (lambda: subexp.point_capacity(subexp.JointSpec((UNIT, UNIT)), ("x", 0.5), 4), COORD.format(0) + "'x'"),
+        (lambda: subexp.point_capacity(subexp.JointSpec((UNIT, UNIT)), (0.5, [1.0]), 4), COORD.format(1) + "[1.0]"),
+        (lambda: subexp.point_capacity(subexp.JointSpec((UNIT,)), (HUGE,), 4), COORD.format(0) + HUGE_SHOWN),
+    ],
+    ids=_short,
+)
+def test_an_endpoint_or_coordinate_that_is_not_a_finite_number_is_named(call, message):
+    _raises(call, ValueError, message)
+
+
+def test_endpoints_and_coordinates_are_stored_as_floats():
+    d = subexp.MaximalDist(np.float64(-1.5), "2")
+    assert repr((d.mu_lo, d.mu_hi)) == "(-1.5, 2.0)"
+    j = subexp.JointSpec((d, d))
+    assert subexp.point_capacity(j, ("0", np.float64(3.0)), 2) == subexp.point_capacity(j, (0.0, 3.0), 2)
 
 
 class TestFiniteFloats:

@@ -543,6 +543,24 @@ class TestOneCellGrid:
         assert res.value == 3.0
 
 
+class TestProductScansIgnoreRefine:
+    """Only ``eval_maximal`` reads ``GridSpec.refine``; the product-grid scans
+    return the plain grid result and certificate."""
+
+    D = MaximalDist(0.0, 1.0)
+
+    def test_compose_independent(self):
+        f = BoundedLipschitzFnN(lambda x, y: np.sin(7 * x) * y, 2, 8.0)
+        j = JointSpec((self.D, self.D))
+        assert compose_independent(j, f, GridSpec(num=11, refine=True)) == compose_independent(j, f, GridSpec(num=11))
+
+    def test_convolve_scaled(self):
+        f = BoundedLipschitzFn(lambda x: np.sin(7 * x), 7.0, 1.0)
+        refined = convolve_scaled(self.D, 1.0, 0.5, f, GridSpec(num=11, refine=True))
+        assert refined == convolve_scaled(self.D, 1.0, 0.5, f, GridSpec(num=11))
+        assert eval_maximal(self.D, f, GridSpec(num=11, refine=True)) != eval_maximal(self.D, f, GridSpec(num=11))
+
+
 class TestDeclaredConstants:
     """BoundedLipschitzFnN checks its constants as BoundedLipschitzFn does."""
 

@@ -81,6 +81,11 @@ class TestMeanPolicy:
         assert v.strides == (0,) and not v.flags.writeable
         assert v.shape == (1 << 20,) and v[-1] == 0.5
 
+    def test_a_one_mean_period_is_a_read_only_view(self):
+        v = MeanPolicy.periodic([0.5]).mean_vector(1 << 20, None)
+        assert v.strides == (0,) and not v.flags.writeable
+        assert v.shape == (1 << 20,) and v[-1] == 0.5
+
     def test_periodic_vector(self):
         rng = np.random.default_rng(0)
         v = MeanPolicy.periodic([-1.0, 1.0]).mean_vector(4, rng)
@@ -447,6 +452,21 @@ class TestViolationLevel:
         rep = rate_check(d, policies, noise, SimConfig(n=1000, reps=reps, seed=3), log_schedule(1000))
         assert rep.violations() == []
 
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_an_lln_report_flags_nothing(self, reps):
+        # its row_range is the default inf, however far the estimate lies from the target
+        pol = [MeanPolicy.constant(1.0)]
+        rep = empirical_lln(MaximalDist(0.0, 1.0), IDENT, pol, NoiseSpec.uniform(0.5), SimConfig(n=50, reps=reps, seed=0),
+                            GridSpec(num=2), [1, 50])
+        far = lln.SimReport("lln", tuple(lln.SimRow(r.n, r.policy_id, 1e300, 0.0, 1e300, 0.0) for r in rep.rows),
+                            0, rep.noise, rep.policies, reps=reps)
+        assert rep.row_range == far.row_range == math.inf
+        assert rep.violations() == far.violations() == [] and rep.to_json_obj()["violations"] == 0
+
+    @pytest.mark.parametrize("kind", ["lln", "rate"])
+    def test_a_report_without_rows_flags_nothing(self, kind):
+        assert lln.SimReport(kind, (), 0, "none", ()).violations() == []
+
     def test_a_bound_ten_times_too_small_is_flagged(self, monkeypatch):
         m2 = lln.second_moment_upper
         monkeypatch.setattr(lln, "second_moment_upper", lambda d, noise: m2(d, noise) / 10)
@@ -734,6 +754,37 @@ class TestPairBufferMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16  # no bool temporary of n entries
+
+
+class TestFixedPolicies:
+    """Constant and periodic policies share one path through ``_walk``: their
+    means are made and checked at first use and serve every replication."""
+
+    D = MaximalDist(-1.0, 2.0)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.uniform(0.5), NoiseSpec.two_point(0.3)])
+    def test_a_one_mean_period_walks_as_its_constant(self, noise):
+        cfg = SimConfig(n=300, reps=3, seed=5)
+        for mu in (-1.0, 0.5, 2.0):
+            policies = (MeanPolicy.constant(mu), MeanPolicy.periodic([mu]))
+            paths = [simulate_path(self.D, pol, noise, cfg).tobytes() for pol in policies]
+            assert paths[0] == paths[1]
+            rows = [
+                [(r.n, r.estimate, r.target_or_bound, r.gap, r.stderr) for r in rate_check(self.D, [pol], noise, cfg, [1, 7, 300]).rows]
+                for pol in policies
+            ]
+            assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("pol", [MeanPolicy.constant(3.0), MeanPolicy.periodic([0.0, 3.0]), MeanPolicy.periodic([3.0])])
+    def test_a_fixed_policy_outside_the_interval_fails_at_replication_zero(self, pol):
+        step = 1 if pol.values == (0.0, 3.0) else 0
+        failed = {}
+        walked = list(lln._walk(self.D, [MeanPolicy.constant(0.0), pol], NoiseSpec.uniform(0.5),
+                                SimConfig(n=4, reps=3, seed=0), 4, failed))
+        assert [(p, r) for p, r, _, _ in walked] == [(0, 0), (0, 1), (0, 2)]
+        (r, exc), = failed.values()
+        assert list(failed) == [1] and r == 0
+        assert str(exc) == f"policy {pol.label} produced mean 3.0 at step {step}, outside [-1.0, 2.0]"
 
 
 class TestDrawBudget:

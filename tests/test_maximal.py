@@ -631,6 +631,11 @@ class TestOneCellGrid:
         assert grid.points(d).tolist() == [d.mu_lo, d.mu_hi]
         assert grid.spacing(d) == d.width <= step
 
+    @pytest.mark.parametrize("grid", [GridSpec(num=3), GridSpec(step=0.1)])
+    def test_a_degenerate_interval_has_one_node(self, grid):
+        d = MaximalDist(1.0, 1.0)
+        assert grid.nodes(d) == 1 and grid.points(d).tolist() == [1.0] and grid.spacing(d) == 0.0
+
     def test_eval_maximal(self):
         res = eval_maximal(MaximalDist(-1.0, 2.0), BoundedLipschitzFn(lambda x: x * x, 4.0), GridSpec(step=math.inf))
         assert (res.value, res.argmax, res.error_bound) == (4.0, 2.0, 6.0)
