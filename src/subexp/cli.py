@@ -239,6 +239,7 @@ def _add_common(p: _Parser) -> None:
 def _add_grid(p: _Parser) -> None:
     p.add_argument("--step", type=float, help="grid spacing (default 1e-4)")
     p.add_argument("--points", type=int, help="explicit grid node count (instead of --step)")
+    p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=False)
 
 
 def _add_columns(p: _Parser) -> None:
@@ -272,7 +273,6 @@ def build_parser() -> _Parser:
     p.add_argument("--family", help="JSON file: array of {'atoms': [[point, weight], ...]}")
     p.add_argument("--fn", required=True, help="test function, e.g. square or poly:0,0,-1")
     _add_grid(p)
-    p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=False)
     _add_common(p)
 
     p = sub.add_parser("lln", help="empirical averages against the worst-case target")
@@ -468,12 +468,11 @@ def _cmd_verify_axioms(args):
 
 
 def _grid_from_args(args) -> subexp.GridSpec:
-    refine = getattr(args, "refine", False)
     if args.step is not None and args.points is not None:
         raise CliError(EXIT_VALIDATION, "give either --step or --points, not both")
     if args.points is not None:
-        return subexp.GridSpec(num=args.points, refine=refine)
-    return subexp.GridSpec(step=1e-4 if args.step is None else args.step, refine=refine)
+        return subexp.GridSpec(num=args.points, refine=args.refine)
+    return subexp.GridSpec(step=1e-4 if args.step is None else args.step, refine=args.refine)
 
 
 def _cmd_eval(args):

@@ -224,18 +224,23 @@ def _check_means(mus: np.ndarray, d: MaximalDist, policy: MeanPolicy) -> None:
 
 
 def _adversarial_means(d: MaximalDist, policy: MeanPolicy, eps: np.ndarray) -> np.ndarray:
-    """The callback's means, step by step; ``eps`` is the noise vector, drawn first."""
+    """The callback's means, step by step; ``eps`` is the noise vector, drawn
+    first.  Both are taken one ``_PAIR_CHUNK`` at a time, so besides the
+    returned array the walk holds one chunk as Python floats."""
     mu_lo, mu_hi, callback = d.mu_lo, d.mu_hi, policy.callback
-    mus = []
+    mus = np.empty(len(eps))
     total = 0.0
-    for i, e in enumerate(eps.tolist()):
-        running = total / i if i else 0.0
-        mu = float(callback(running))
-        if not (mu_lo <= mu <= mu_hi):
-            raise _outside(d, policy, mu, i)
-        mus.append(mu)
-        total += mu + e
-    return np.array(mus)
+    for lo in range(0, len(eps), _PAIR_CHUNK):
+        chunk = []
+        for i, e in enumerate(eps[lo : lo + _PAIR_CHUNK].tolist(), start=lo):
+            running = total / i if i else 0.0
+            mu = float(callback(running))
+            if not (mu_lo <= mu <= mu_hi):
+                raise _outside(d, policy, mu, i)
+            chunk.append(mu)
+            total += mu + e
+        mus[lo : lo + len(chunk)] = chunk
+    return mus
 
 
 def _rep_rng(seed: int, r: int) -> np.random.Generator:

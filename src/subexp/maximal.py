@@ -7,13 +7,16 @@ included) and reports the error bound lipschitz * h / 2 of
 ``_certificate``, where h = width / (n - 1) is the nominal spacing of the
 n nodes: any point of the interval is within h/2 of a node of the exact
 grid, so the true maximum exceeds the grid maximum by at most that
-amount.  The float nodes of ``np.linspace`` are not evenly spaced: their
-largest gap can exceed h by about 7e-11 relative, and the bound can then
-understate the error by that relative amount.  With
-``GridSpec(refine=True)`` a Lipschitz branch-and-bound (Piyavskii 1972;
-Shubert 1972) subdivides the grid cells that could still hold a larger
-value and reports the largest remaining cell bound instead.
-Product grids (``convolve_scaled`` and ``joint.compose_independent``) are
+amount.  Node i is fl(fl(i * h) + mu_lo), and the last node is mu_hi
+exactly (``_node_block``, bit for bit ``np.linspace``).  These float
+nodes are not evenly spaced: their largest gap can exceed h by about
+7e-11 relative, and the bound can then understate the error by that
+relative amount.  With ``GridSpec(refine=True)`` a Lipschitz
+branch-and-bound (Piyavskii 1972; Shubert 1972) subdivides the grid cells
+that could still hold a larger value and reports the largest remaining
+cell bound instead.
+``eval_maximal`` scans the nodes in blocks of ``_BLOCK_CELLS`` nodes, and
+product grids (``convolve_scaled`` and ``joint.compose_independent``) are
 walked block by block by ``_grid_blocks``, the one place that builds them.
 """
 
@@ -55,12 +58,13 @@ _MAX_GRID_NODES = 1 << 24
 # than this is rejected before f is called: at tens of millions of cells per
 # second, 2**30 cells already take about half a minute.
 _MAX_CELLS = 1 << 30
-# Product grids are evaluated over at most this many cells at once.  One
-# coordinate array of a block is then at most 64 KiB, half of glibc's
-# default mmap threshold, so every block reuses heap memory malloc keeps.
-# With 2**16 cells (512 KiB arrays) whether a block's arrays were mmapped
-# and page-faulted afresh depended on the allocator's history, and the
-# max-of-5 composition on 15 nodes took anywhere from 17 to 60 ms.
+# Grids are evaluated over at most this many cells at once: the nodes of a
+# one-dimensional scan (eval_maximal) and the cells of a product grid
+# (_grid_blocks).  One coordinate array of a block is then at most 64 KiB,
+# half of glibc's default mmap threshold, so every block reuses heap memory
+# malloc keeps.  With 2**16 cells (512 KiB arrays) whether a block's arrays
+# were mmapped and page-faulted afresh depended on the allocator's history,
+# and the max-of-5 composition on 15 nodes took anywhere from 17 to 60 ms.
 _BLOCK_CELLS = 1 << 13
 
 
@@ -162,10 +166,10 @@ class GridSpec:
         return n
 
     def points(self, d: MaximalDist) -> np.ndarray:
-        """Grid nodes over d's interval, endpoints included."""
-        if d.degenerate:  # np.linspace(-0.0, -0.0, 1) is [0.0]: it loses the sign
-            return np.array([d.mu_lo])
-        return np.linspace(d.mu_lo, d.mu_hi, self.nodes(d))
+        """Grid nodes over d's interval, endpoints included: the one
+        ``_node_block`` that covers every node."""
+        n = self.nodes(d)
+        return _node_block(d, n, 0, n)
 
     def spacing(self, d: MaximalDist) -> float:
         """Nominal node spacing width / (n - 1), 0 for a degenerate interval;
@@ -173,6 +177,31 @@ class GridSpec:
         if d.degenerate:  # one node: width / (n - 1) would be 0/0
             return 0.0
         return d.width / (self.nodes(d) - 1)
+
+
+def _node_block(d: MaximalDist, n: int, start: int, stop: int) -> np.ndarray:
+    """Nodes start, ..., stop - 1 of the n-node grid over d's interval, bit
+    for bit those of ``np.linspace(d.mu_lo, d.mu_hi, n)``.
+
+    Node i is fl(fl(i * h) + mu_lo), h = width / (n - 1) being the nominal
+    spacing; where h underflows to 0, numpy's own branch
+    fl(fl(i / (n - 1)) * width) + mu_lo is used instead.  The last node is
+    mu_hi exactly.  A degenerate interval has the one node mu_lo, its sign
+    kept (``np.linspace(-0.0, -0.0, 1)`` is [0.0]).
+    """
+    if d.degenerate:
+        return np.array([d.mu_lo])
+    x = np.arange(start, stop, dtype=float)
+    h = d.width / (n - 1)
+    if h == 0.0:
+        x /= n - 1
+        x *= d.width
+    else:
+        x *= h
+    x += d.mu_lo
+    if stop == n:
+        x[-1] = d.mu_hi
+    return x
 
 
 class GridMax(NamedTuple):
@@ -255,43 +284,53 @@ def _finite_values(f: Callable, pts: np.ndarray) -> np.ndarray:
     return _evaluate(f, (pts,), lambda k, v: f"test function returned non-finite value at point {float(pts.flat[k])!r}")
 
 
-def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: float, argmax: float):
-    """Lipschitz branch-and-bound over the cells between consecutive nodes.
+def _cell_bounds(f: BoundedLipschitzFn, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray):
+    """Upper bounds of f on the cells [a, b] whose end values are fa, fb, and
+    which of the cells can be split.
 
     On a cell [a, b] an L-Lipschitz f is at most (f(a) + f(b))/2 + L(b - a)/2,
     and at most its declared bound.
-    Cells whose bound exceeds the incumbent by more than the tolerance are
-    split into equal parts, all new points are evaluated in one call, and
-    the incumbent is updated (ties keep the smallest x).  Returns the
-    incumbent and the largest bound over all cells, pruned or still live,
-    so the shortfall certificate holds even when the evaluation cap stops
-    the search early.
     """
     lip = f.lipschitz
-    tol = lip * _REFINE_XTOL
-    a, b, fa, fb = pts[:-1], pts[1:], vals[:-1], vals[1:]
-    pruned_ub = -math.inf
+    with np.errstate(over="ignore"):  # a bound may overflow to inf
+        w = b - a
+        ub = 0.5 * (fa + fb) + 0.5 * lip * w
+        mid = a + 0.5 * w
+        # f >= g - lip * w on a cell whose larger end value is g, so when
+        # 2g - lip * w > 2**1024 (here with a margin for rounding) every
+        # part of the cell that keeps that end bounds at inf at any depth
+        stuck = (ub == math.inf) & (np.maximum(fa, fb) - 2.0**1023 > 0.5 * lip * w * (1 + 2.0**-40))
+    # |f| <= f.bound caps every other cell's bound (inf declares no cap)
+    ub = np.where(stuck, ub, np.minimum(ub, f.bound))
+    # a cell whose midpoint is not representable cannot be split further;
+    # a stuck one is not split either, since the bound returned would be
+    # inf whatever the search found in it
+    return ub, ~stuck & (a < mid) & (mid < b)
+
+
+def _refine(f: BoundedLipschitzFn, cells, pruned_ub: float, value: float, argmax: float):
+    """Lipschitz branch-and-bound over grid cells.
+
+    ``cells`` holds the arrays (a, b, f(a), f(b)) of the cells that may
+    still be live, followed by their bounds and split flags from
+    ``_cell_bounds``, and ``pruned_ub`` is the largest bound of the grid's
+    other cells.  Cells whose bound exceeds the incumbent by more than the
+    tolerance are split into equal parts, all new points are evaluated in
+    one call, and the incumbent is updated (ties keep the smallest x).  Returns the incumbent and the largest bound over all
+    cells, pruned or still live, so the shortfall certificate holds even
+    when the evaluation cap stops the search early.
+    """
+    tol = f.lipschitz * _REFINE_XTOL
+    a, b, fa, fb, ub, split = cells
     evals = 0
     while True:
-        with np.errstate(over="ignore"):  # a bound may overflow to inf
-            w = b - a
-            ub = 0.5 * (fa + fb) + 0.5 * lip * w
-            mid = a + 0.5 * w
-            # f >= g - lip * w on a cell whose larger end value is g, so when
-            # 2g - lip * w > 2**1024 (here with a margin for rounding) every
-            # part of the cell that keeps that end bounds at inf at any depth
-            stuck = (ub == math.inf) & (np.maximum(fa, fb) - 2.0**1023 > 0.5 * lip * w * (1 + 2.0**-40))
-        # |f| <= f.bound caps every other cell's bound (inf declares no cap)
-        ub = np.where(stuck, ub, np.minimum(ub, f.bound))
-        # a cell whose midpoint is not representable cannot be split further;
-        # a stuck one is not split either, since the bound returned would be
-        # inf whatever the search found in it
-        live = (ub > value + tol) & ~stuck & (a < mid) & (mid < b)
+        live = (ub > value + tol) & split
         pruned_ub = max(pruned_ub, float(ub[~live].max(initial=-math.inf)))
         n = int(np.count_nonzero(live))
         if n == 0 or evals + n > _REFINE_MAX_EVALS:
             return value, argmax, max(pruned_ub, float(ub[live].max(initial=-math.inf)))
-        a, b, fa, fb, w = a[live], b[live], fa[live], fb[live], w[live]
+        a, b, fa, fb = a[live], b[live], fa[live], fb[live]
+        w = b - a
         k = 2
         while k < _REFINE_MAX_SPLIT and 2 * k * n <= _REFINE_BATCH:
             if evals + (2 * k - 1) * n > _REFINE_MAX_EVALS:
@@ -310,6 +349,7 @@ def _refine(f: BoundedLipschitzFn, pts: np.ndarray, vals: np.ndarray, value: flo
         fs = np.concatenate((fa[:, None], fx, fb[:, None]), axis=1)
         a, b = xs[:, :-1].ravel(), xs[:, 1:].ravel()
         fa, fb = fs[:, :-1].ravel(), fs[:, 1:].ravel()
+        ub, split = _cell_bounds(f, a, b, fa, fb)
 
 
 def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridMax:
@@ -319,15 +359,39 @@ def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridM
     never exceeds the true maximum; the certificate bounds the shortfall.
     Ties resolve to the smallest x.  A non-finite value of f, on the grid
     or at a refinement point, raises EvaluationError naming the point.
+
+    The nodes are scanned in blocks of at most ``_BLOCK_CELLS``, so the
+    plain scan holds a few arrays of one block whatever the node count.
+    Under ``grid.refine`` each block also bounds its own cells, the first
+    of them reaching back to the previous block's last node, and keeps
+    only those above the incumbent so far; ``_refine`` prunes them again
+    with the final one.  A cell pruned against a smaller incumbent is
+    pruned against the final one too, so the search starts from the cells
+    and the pruned bound that one whole-grid pass gives.
     """
-    pts = grid.points(d)
-    vals = _finite_values(f, pts)
-    i = int(np.argmax(vals))
-    value = float(vals[i])
-    argmax = float(pts[i])
+    n = grid.nodes(d)
+    tol = f.lipschitz * _REFINE_XTOL
+    value, argmax = -math.inf, None
+    edge_x, edge_f = np.empty(0), np.empty(0)  # the previous block's last node and value
+    kept, pruned_ub = [], -math.inf
+    for start in range(0, n, _BLOCK_CELLS):
+        pts = _node_block(d, n, start, min(start + _BLOCK_CELLS, n))
+        vals = _finite_values(f, pts)
+        i = int(np.argmax(vals))
+        if vals[i] > value:  # strict: a tie keeps the earlier node
+            value, argmax = float(vals[i]), float(pts[i])
+        if grid.refine:
+            xs, fs = np.concatenate((edge_x, pts)), np.concatenate((edge_f, vals))
+            edge_x, edge_f = xs[-1:], fs[-1:]
+            cells = xs[:-1], xs[1:], fs[:-1], fs[1:]
+            ub, split = _cell_bounds(f, *cells)
+            keep = (ub > value + tol) & split
+            pruned_ub = max(pruned_ub, float(ub[~keep].max(initial=-math.inf)))
+            kept.append([c[keep] for c in (*cells, ub, split)])
     err = _certificate(f.lipschitz, grid, d)
     if grid.refine:
-        value, argmax, ub = _refine(f, pts, vals, value, argmax)
+        cells = [np.concatenate(c) for c in zip(*kept)]
+        value, argmax, ub = _refine(f, cells, pruned_ub, value, argmax)
         err = max(0.0, min(err, ub - value))
     return GridMax(value, argmax, err)
 

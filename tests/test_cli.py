@@ -365,6 +365,24 @@ class TestLln:
         assert lines[5] == "n,policy_id,estimate,target_or_bound,gap,stderr"
         assert target + bound >= 1.0
 
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_refine_sets_the_target_error_bound(self, capsys, refine):
+        code, obj, _ = run_json(capsys, [*self.SIN7, "--refine" if refine else "--no-refine"])
+        want = eval_maximal(MaximalDist(-1.0, 1.0), cli.build_fn("sin:7", 1.0), GridSpec(step=0.5, refine=refine))
+        assert code == 0
+        assert obj["result"]["target_error_bound"] == want.error_bound
+        assert obj["result"]["rows"][0]["target_or_bound"] == want.value
+        assert (want.error_bound < 1e-9) if refine else (want.error_bound == 1.75)
+
+    @pytest.mark.parametrize("key, refine", [("refine = true", True), ("no-refine = false", True),
+                                             ("no-refine = true", False)])
+    def test_refine_keys_in_a_config_file(self, capsys, tmp_path, key, refine):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        code, obj, _ = run_json(capsys, [*self.SIN7, "--config", str(cfg)])
+        want = eval_maximal(MaximalDist(-1.0, 1.0), cli.build_fn("sin:7", 1.0), GridSpec(step=0.5, refine=refine))
+        assert code == 0 and obj["result"]["target_error_bound"] == want.error_bound
+
     def test_policy_required(self, capsys):
         code, _, err = run_text(
             capsys, ["lln", "--mu-lo", "0", "--mu-hi", "1", "--fn", "identity"]

@@ -3,10 +3,11 @@
 Every call must exit 0, 2 or 3; a failure prints exactly one JSON error
 line and nothing on stdout, a success prints nothing on stderr; no
 warning (numpy's overflow warnings included) is raised; and no output
-holds ``Infinity``, ``NaN`` or ``inf``.  The sweep makes 977 calls and
+holds ``Infinity``, ``NaN`` or ``inf``.  The sweep makes 1098 calls and
 covers every command: every ordered pair of the endpoints below, for
 ``eval`` (three function specs on the plain grid and one with
-``--refine``), ``lln``, ``rate``, ``estimate`` and ``envelope`` (the
+``--refine``), ``lln`` (one call on the plain grid and one with
+``--refine``), ``rate``, ``estimate`` and ``envelope`` (the
 series lo, hi, lo, hi), with the function spec, noise, policy,
 demeaning and output format taken in turn; and ``verify-axioms`` with a
 few case counts and seeds.
@@ -44,8 +45,10 @@ def eval_cases(tmp_path):
 def lln_cases(tmp_path):
     for k, (lo, hi) in enumerate(PAIRS):
         policy = (f"constant:{hi!r}", f"random:{lo!r},{hi!r}", f"periodic:{lo!r},{hi!r}")[k % 3]
-        yield ["lln", f"--mu-lo={lo!r}", f"--mu-hi={hi!r}", "--fn", FNS[k % 7], "--policy", policy,
-               "--noise", NOISES[k % 4], "--n-max", "8", "--reps", "2", "--points", "3", "--format", FORMATS[k % 2]]
+        for j, (fn, refine) in enumerate([(FNS[k % 7], ()), (UNBOUNDED[k % 4], ("--refine",))]):
+            yield ["lln", f"--mu-lo={lo!r}", f"--mu-hi={hi!r}", "--fn", fn, "--policy", policy, "--noise",
+                   NOISES[(k + j) % 4], "--n-max", "8", "--reps", "2", "--points", "3", *refine,
+                   "--format", FORMATS[(k + j) % 2]]
 
 
 def rate_cases(tmp_path):
@@ -74,7 +77,7 @@ def verify_axioms_cases(tmp_path):
 
 SWEEP = {
     "eval": (eval_cases, 484),
-    "lln": (lln_cases, 121),
+    "lln": (lln_cases, 242),
     "rate": (rate_cases, 121),
     "estimate": (estimate_cases, 121),
     "envelope": (envelope_cases, 121),

@@ -684,6 +684,42 @@ class TestPairKernel:
             assert [row.estimate for row in rep.rows] == [1.0] * 9
 
 
+class TestAdversarialChunks:
+    """``_adversarial_means`` reads the noise and writes the means one
+    ``lln._PAIR_CHUNK`` at a time; the chunk size changes no mean and no
+    error."""
+
+    D = MaximalDist(-1.0, 2.0)
+
+    @staticmethod
+    def reference(d, policy, eps):
+        # the whole-path walk: every noise entry as a Python float, then one array
+        mus, total = [], 0.0
+        for i, e in enumerate(eps.tolist()):
+            mu = float(policy.callback(total / i if i else 0.0))
+            if not (d.mu_lo <= mu <= d.mu_hi):
+                raise lln._outside(d, policy, mu, i)
+            mus.append(mu)
+            total += mu + e
+        return np.array(mus)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.uniform(0.7), NoiseSpec.two_point(0.3)])
+    def test_means_are_the_whole_walks_bit_for_bit(self, monkeypatch, noise):
+        eps = noise.sample(np.random.default_rng(5), 50)
+        want = self.reference(self.D, CHASE, eps)
+        for chunk in (1, 2, 7, 49, 50, lln._PAIR_CHUNK):
+            monkeypatch.setattr(lln, "_PAIR_CHUNK", chunk)
+            got = lln._adversarial_means(self.D, CHASE, eps)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), chunk
+
+    def test_a_mean_outside_in_a_later_chunk_names_its_step(self, monkeypatch):
+        steps = iter(range(100))
+        spike = MeanPolicy.adversarial(lambda avg: 5.0 if next(steps) == 9 else 0.0, "spike")
+        monkeypatch.setattr(lln, "_PAIR_CHUNK", 4)
+        with pytest.raises(SimulationError, match=r"^policy adversarial\(spike\) produced mean 5\.0 at step 9, "):
+            lln._adversarial_means(self.D, spike, NoiseSpec.none().sample(None, 20))
+
+
 class TestPairBufferMemory:
     def test_peak_stays_within_seven_path_arrays_and_one_buffer(self):
         # the four default rate policies; a path-length pair buffer would

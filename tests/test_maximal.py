@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -688,3 +692,193 @@ class TestOneCertificateRule:
     def test_negative_zero_interval_gives_one_dirac_at_negative_zero(self, n_atoms):
         fam = dirac_family(MaximalDist(-0.0, -0.0), n_atoms)
         assert repr([m.atoms for m in fam.measures]) == repr([((-0.0, 1.0),)])
+
+
+class TestNodeRule:
+    """``maximal._node_block`` is ``np.linspace`` bit for bit, in any blocks."""
+
+    DISTS = [
+        MaximalDist(-1.0, 2.0),
+        MaximalDist(-0.0, 1.0),
+        MaximalDist(-1.0, -0.0),
+        MaximalDist(0.0, 5e-324),  # the step underflows to 0 at num >= 3
+        MaximalDist(-5e-324, 5e-324),
+        MaximalDist(1e-310, 2.5e-310),  # subnormal
+        MaximalDist(-2.2250738585072014e-308, 2.2250738585072014e-308),
+        MaximalDist(-1e308, 1e308),  # 2e308 wide overflows; 1.7e308 does not
+        MaximalDist(-7e307, 1e308),
+        MaximalDist(-3.2037769020565072, -3.198343129550254),
+        MaximalDist(1e-300, 1.0000000000000002e-300),
+    ]
+    NUMS = [2, 3, 7, 17, (1 << 13) - 1, 1 << 13, (1 << 13) + 1]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()  # the sign of every zero included
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("num", NUMS)
+    def test_points_are_linspace(self, num):
+        for d in self.DISTS:
+            if not math.isfinite(d.width):
+                continue
+            self.assert_same_bits(GridSpec(num=num).points(d), np.linspace(d.mu_lo, d.mu_hi, num))
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 16])
+    def test_blocks_join_to_linspace(self, block):
+        for d, num in itertools.product(self.DISTS, [2, 3, 16, 17, 50]):
+            if not math.isfinite(d.width):
+                continue
+            blocks = [maximal._node_block(d, num, s, min(s + block, num)) for s in range(0, num, block)]
+            self.assert_same_bits(np.concatenate(blocks), np.linspace(d.mu_lo, d.mu_hi, num))
+
+    def test_the_step_underflows(self):
+        d = MaximalDist(0.0, 5e-324)
+        for num in (3, 17):
+            assert GridSpec(num=num).spacing(d) == 0.0
+            pts = GridSpec(num=num).points(d)
+            self.assert_same_bits(pts, np.linspace(0.0, 5e-324, num))
+            assert pts[-1] == 5e-324 and pts[0] == 0.0
+
+    @pytest.mark.parametrize("d", [MaximalDist(-0.0, -0.0), MaximalDist(-0.0, 0.0), MaximalDist(0.0, 0.0),
+                                   MaximalDist(5e-324, 5e-324), MaximalDist(-3.5, -3.5)])
+    def test_a_degenerate_interval_keeps_its_one_node(self, d):
+        for grid in (GridSpec(num=1), GridSpec(num=5), GridSpec(step=0.1)):
+            self.assert_same_bits(grid.points(d), np.array([d.mu_lo]))
+            self.assert_same_bits(maximal._node_block(d, 1, 0, 1), np.array([d.mu_lo]))
+
+    def test_the_largest_grid_in_blocks(self):
+        d = MaximalDist(-1.0, 2.0)
+        n = maximal._MAX_GRID_NODES
+        want = np.linspace(d.mu_lo, d.mu_hi, n)
+        for s in range(0, n, maximal._BLOCK_CELLS):
+            stop = min(s + maximal._BLOCK_CELLS, n)
+            assert maximal._node_block(d, n, s, stop).tobytes() == want[s:stop].tobytes(), s
+
+
+def whole_grid_scan(d, f, grid):
+    """The reference: one scan over all np.linspace nodes, refined from all
+    of the grid's cells at once."""
+    pts = np.array([d.mu_lo]) if d.degenerate else np.linspace(d.mu_lo, d.mu_hi, grid.nodes(d))
+    vals = maximal._finite_values(f, pts)
+    i = int(np.argmax(vals))
+    value, argmax = float(vals[i]), float(pts[i])
+    err = maximal._certificate(f.lipschitz, grid, d)
+    if grid.refine:
+        cells = (pts[:-1], pts[1:], vals[:-1], vals[1:])
+        value, argmax, ub = maximal._refine(f, (*cells, *maximal._cell_bounds(f, *cells)), -math.inf, value, argmax)
+        err = max(0.0, min(err, ub - value))
+    return maximal.GridMax(value, argmax, err)
+
+
+class TestBlockedScan:
+    """``eval_maximal`` scans its nodes in blocks of ``maximal._BLOCK_CELLS``;
+    no block size changes a result or an error message."""
+
+    DISTS = [
+        MaximalDist(-1.0, 2.0),
+        MaximalDist(0.0, 1.0),
+        MaximalDist(0.0, 5e-324),
+        MaximalDist(1e-310, 2.5e-310),
+        MaximalDist(-3.2037769020565072, -3.198343129550254),
+        MaximalDist(-0.0, -0.0),
+        MaximalDist(2.0, 2.0),
+    ]
+    NUMS = [2, 3, 7, 8, 17, 50]
+    FNS = {
+        "square": SQUARE,
+        "sin7": BoundedLipschitzFn(lambda x: np.sin(7.0 * x), 7.0),
+        "neg_square": NEG_SQUARE,
+        "scalar_only": BoundedLipschitzFn(lambda x: math.cos(3.0 * x) + x, 4.0),
+        # the tent of the reproducer: its peak lies between the first two nodes
+        "tent": BoundedLipschitzFn(lambda x: -np.abs(x - 0.3), 1.0, bound=10.0),
+    }
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return repr(run())
+        except EvaluationError as exc:
+            return f"EvaluationError: {exc}"
+
+    def assert_every_block_size_agrees(self, monkeypatch, d, f, grid):
+        want = self.outcome(lambda: whole_grid_scan(d, f, grid))
+        for cells in (1, 3, 7, maximal._BLOCK_CELLS):
+            with monkeypatch.context() as m:
+                m.setattr(maximal, "_BLOCK_CELLS", cells)
+                assert self.outcome(lambda: eval_maximal(d, f, grid)) == want, (d, grid, cells)
+        return want
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("fn", list(FNS))
+    def test_any_block_size_gives_the_whole_scan(self, monkeypatch, fn, refine):
+        # a smaller evaluation cap keeps the refined runs short; the whole scan
+        # and the blocked one stop at the same point, with the same bound
+        monkeypatch.setattr(maximal, "_REFINE_MAX_EVALS", 1 << 12)
+        for d, num in itertools.product(self.DISTS, self.NUMS):
+            self.assert_every_block_size_agrees(monkeypatch, d, self.FNS[fn], GridSpec(num=num, refine=refine))
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_a_tie_across_blocks_keeps_the_first_node(self, monkeypatch, refine):
+        d = MaximalDist(0.0, 1.0)
+        grid = GridSpec(num=11, refine=refine)
+        pts = grid.points(d)
+        p, q = float(pts[2]), float(pts[9])  # in different blocks of 1, 3 and 7 nodes
+        twin = BoundedLipschitzFn(lambda x: -np.minimum(np.abs(x - p), np.abs(x - q)), 1.0)
+        want = self.assert_every_block_size_agrees(monkeypatch, d, twin, grid)
+        assert want == repr(maximal.GridMax(-0.0, p, 0.0 if refine else 0.05))
+        plateau = BoundedLipschitzFn(lambda x: np.minimum(x, 0.25), 1.0)  # ties from 0.3 on, across every block
+        if not refine:  # refining a plateau would spend the evaluation cap
+            want = self.assert_every_block_size_agrees(monkeypatch, d, plateau, grid)
+            assert want == repr(maximal.GridMax(0.25, 0.30000000000000004, 0.05))
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("fn", ["vector", "scalar_only"])
+    def test_a_non_finite_value_in_a_later_block_is_named(self, monkeypatch, fn, refine):
+        d = MaximalDist(0.0, 1.0)
+        grid = GridSpec(num=21, refine=refine)
+        if fn == "vector":
+            f = BoundedLipschitzFn(lambda x: np.where(x > 0.72, np.nan, np.where(x > 0.5, np.inf, x)), 1.0)
+        else:
+            f = BoundedLipschitzFn(lambda x: math.inf if x > 0.5 else float(x), 1.0)
+        want = self.assert_every_block_size_agrees(monkeypatch, d, f, grid)
+        assert want == "EvaluationError: test function returned non-finite value at point 0.55"
+
+    def test_refine_prunes_against_the_final_incumbent(self, monkeypatch):
+        # a block's cells are kept against the incumbent so far; a cell of an
+        # early block that only the last block's maximum prunes must end in the
+        # pruned bound, not be searched
+        d = MaximalDist(0.0, 1.0)
+        f = BoundedLipschitzFn(lambda x: np.where(x < 0.9, np.sin(40.0 * x) * 0.01, 10.0 * (x - 0.9)), 10.0)
+        grid = GridSpec(num=101, refine=True)
+        want = self.assert_every_block_size_agrees(monkeypatch, d, f, grid)
+        assert want == repr(eval_maximal(d, f, grid)) and eval_maximal(d, f, grid).argmax == 1.0
+
+
+class TestBlockedScanMemory:
+    # the child reads its own VmHWM, as in test_envelope.TestStreamingMemory
+    PROBE = (
+        "import math\n"
+        "import numpy as np\n"
+        "from subexp.maximal import GridSpec, MaximalDist, eval_maximal\n"
+        "from subexp.scenarios import BoundedLipschitzFn\n"
+        "def peak_kb():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+        "grid = GridSpec(num=1 << 24)\n"
+        "before = peak_kb()\n"
+        "res = eval_maximal(MaximalDist(-1.0, 2.0), BoundedLipschitzFn(lambda x: x * x, 4.0), grid)\n"
+        "assert tuple(res) == (4.0, 2.0, 4.0 * (3.0 / ((1 << 24) - 1)) / 2.0), res\n"
+        "res = eval_maximal(MaximalDist(-1.0, 2.0), BoundedLipschitzFn(lambda x: np.sin(7.0 * x), 7.0), grid)\n"
+        "assert res.value > 1.0 - 1e-12, res\n"
+        "print((peak_kb() - before) / 1024)\n"
+    )
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+    def test_the_largest_grid_takes_no_grid_sized_array(self):
+        # whole-grid arrays grew peak RSS by 272 MB for square and 384 MB for
+        # sin(7x) at 2**24 nodes; blocks of 2**13 nodes take well under a MB
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", self.PROBE], env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 4.0
