@@ -308,20 +308,22 @@ def _cell_bounds(f: BoundedLipschitzFn, a: np.ndarray, b: np.ndarray, fa: np.nda
     return ub, ~stuck & (a < mid) & (mid < b)
 
 
-def _refine(f: BoundedLipschitzFn, cells, pruned_ub: float, value: float, argmax: float):
+def _refine(f: BoundedLipschitzFn, blocks: list, pruned_ub: float, value: float, argmax: float):
     """Lipschitz branch-and-bound over grid cells.
 
-    ``cells`` holds the arrays (a, b, f(a), f(b)) of the cells that may
-    still be live, followed by their bounds and split flags from
-    ``_cell_bounds``, and ``pruned_ub`` is the largest bound of the grid's
-    other cells.  Cells whose bound exceeds the incumbent by more than the
+    Each entry of ``blocks`` holds the arrays (a, b, f(a), f(b)) of some
+    cells that may still be live, followed by their bounds and split flags
+    from ``_cell_bounds``; the entries are joined, and ``blocks`` is
+    emptied so that each round frees the cells of the one before.
+    ``pruned_ub`` is the largest bound of the grid's other cells.  Cells whose bound exceeds the incumbent by more than the
     tolerance are split into equal parts, all new points are evaluated in
     one call, and the incumbent is updated (ties keep the smallest x).  Returns the incumbent and the largest bound over all
     cells, pruned or still live, so the shortfall certificate holds even
     when the evaluation cap stops the search early.
     """
     tol = f.lipschitz * _REFINE_XTOL
-    a, b, fa, fb, ub, split = cells
+    a, b, fa, fb, ub, split = (np.concatenate(c) for c in zip(*blocks))
+    blocks.clear()
     evals = 0
     while True:
         live = (ub > value + tol) & split
@@ -390,8 +392,7 @@ def eval_maximal(d: MaximalDist, f: BoundedLipschitzFn, grid: GridSpec) -> GridM
             kept.append([c[keep] for c in (*cells, ub, split)])
     err = _certificate(f.lipschitz, grid, d)
     if grid.refine:
-        cells = [np.concatenate(c) for c in zip(*kept)]
-        value, argmax, ub = _refine(f, cells, pruned_ub, value, argmax)
+        value, argmax, ub = _refine(f, kept, pruned_ub, value, argmax)
         err = max(0.0, min(err, ub - value))
     return GridMax(value, argmax, err)
 

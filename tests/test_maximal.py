@@ -767,7 +767,7 @@ def whole_grid_scan(d, f, grid):
     err = maximal._certificate(f.lipschitz, grid, d)
     if grid.refine:
         cells = (pts[:-1], pts[1:], vals[:-1], vals[1:])
-        value, argmax, ub = maximal._refine(f, (*cells, *maximal._cell_bounds(f, *cells)), -math.inf, value, argmax)
+        value, argmax, ub = maximal._refine(f, [(*cells, *maximal._cell_bounds(f, *cells))], -math.inf, value, argmax)
         err = max(0.0, min(err, ub - value))
     return maximal.GridMax(value, argmax, err)
 
