@@ -10,7 +10,11 @@ envelopes (:mod:`subexp.envelope`).
 
 ``import subexp`` loads none of these modules: each public name is
 imported from its defining module on first access (PEP 562), so a caller
-pays only for the layers it uses.
+pays only for the layers it uses.  This module itself loads no layer and
+no numpy, and holds what several layers share: the error types
+:class:`DataError` and :class:`SimulationError` (so the CLI catches them
+without loading a layer), the grid block size ``_BLOCK_CELLS``, the seed
+check and the finite-entry rule ``_finite_floats``.
 """
 
 import importlib
@@ -33,22 +37,40 @@ _EXPORTS = {
         "compose_independent", "indicator_approx", "point_capacity",
     ),
     "lln": (
-        "MeanPolicy", "NoiseSpec", "SimConfig", "SimReport", "SimRow", "SimulationError", "empirical_lln",
-        "log_schedule", "rate_check", "second_moment_upper", "simulate_path",
+        "MeanPolicy", "NoiseSpec", "SimConfig", "SimReport", "SimRow", "empirical_lln", "log_schedule",
+        "rate_check", "second_moment_upper", "simulate_path",
     ),
     "mle": (
         "MleResult", "SampleSet", "UnbiasednessResult", "likelihood", "mle_estimate", "solve_minimax_oracle",
         "unbiasedness_check",
     ),
     "envelope": (
-        "ColumnSpec", "DataError", "EnvelopeConfig", "TimeSeries", "VarianceEnvelope", "ingest_csv",
-        "rolling_local_variance", "variance_envelope",
+        "ColumnSpec", "EnvelopeConfig", "TimeSeries", "VarianceEnvelope", "ingest_csv", "rolling_local_variance",
+        "variance_envelope",
     ),
     "axioms": ("AxiomSuiteReport", "run_axiom_suite"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__", *_HOME]
+__all__ = ["__version__", "DataError", "SimulationError", *_HOME]
+
+# Grids and windows are reduced over at most this many cells at once: the
+# nodes of a one-dimensional scan and the cells of a product grid
+# (maximal), and the window cells of rolling_local_variance (envelope).  One
+# float64 array of a block is then at most 64 KiB, half of glibc's default
+# mmap threshold, so every block reuses heap memory malloc keeps.  With 2**16
+# cells (512 KiB arrays) whether a block's arrays were mmapped and
+# page-faulted afresh depended on the allocator's history, and the max-of-5
+# composition on 15 nodes took anywhere from 17 to 60 ms.
+_BLOCK_CELLS = 1 << 13
+
+
+class DataError(ValueError):
+    """Malformed or insufficient input data (files, rows, series)."""
+
+
+class SimulationError(RuntimeError):
+    """A policy produced a mean outside the ambiguity interval."""
 
 
 def __getattr__(name: str):
@@ -115,6 +137,12 @@ def _finite_floats(values, bad) -> tuple[float, ...]:
             raise bad(i, _shown(v), True) from None
         if not math.isfinite(f):
             raise bad(i, f, True)
+
+
+def _check_seed(seed: int) -> None:
+    """The seed rule of ``lln.SimConfig`` and ``axioms.run_axiom_suite``."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
 
 def _unreadable(what: str, path: str, exc: Exception) -> str:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _check_seed
 from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily, _atom_values, _expectations
 
 __all__ = [
@@ -113,8 +114,7 @@ def run_axiom_suite(cases: int = 1000, seed: int = 20240801) -> AxiomSuiteReport
     """Run ``cases`` randomized axiom checks; see the module docstring."""
     if cases < 1:
         raise ValueError(f"cases must be >= 1, got {cases!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     v_mono = 0.0
     v_const = 0.0

@@ -585,18 +585,6 @@ def _run(argv: list[str]) -> int:
     return code
 
 
-class _NeverRaised(Exception):
-    pass
-
-
-def _loaded_class(module: str, name: str) -> type[Exception]:
-    """Exception class ``name`` of ``module`` if that module is loaded, else
-    one that is never raised: an exception cannot come from a module that
-    was never imported, so there is no need to import it here."""
-    mod = sys.modules.get(module)
-    return getattr(mod, name) if mod is not None else _NeverRaised
-
-
 def _fail(code: int, message: str) -> int:
     line = json.dumps({"error": {"code": code, "message": " ".join(str(message).split())}})
     print(line, file=sys.stderr)
@@ -609,9 +597,9 @@ def main(argv: list[str] | None = None) -> int:
         return _run(argv)
     except CliError as exc:
         return _fail(exc.code, exc.message)
-    except _loaded_class("subexp.envelope", "DataError") as exc:
+    except subexp.DataError as exc:
         return _fail(EXIT_DATA, str(exc))
-    except (ValueError, TypeError, _loaded_class("subexp.lln", "SimulationError")) as exc:
+    except (ValueError, TypeError, subexp.SimulationError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
     except Exception as exc:  # pragma: no cover - safety net
         return _fail(EXIT_INTERNAL, f"{type(exc).__name__}: {exc}")

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _finite_floats, _shown, _unreadable
+from . import _BLOCK_CELLS, DataError, _finite_floats, _shown, _unreadable
 
 __all__ = [
     "DataError",
@@ -44,20 +44,10 @@ __all__ = [
     "ingest_csv",
 ]
 
-# rolling_local_variance reduces at most this many window cells at once, so
-# each temporary stays at 64 KiB, half of glibc's default mmap threshold:
-# larger chunks are mmapped and page-faulted afresh on every call (the
-# same effect made maximal._BLOCK_CELLS 2**13).
-_CHUNK_CELLS = 1 << 13
-
 # ingest_csv parses this many rows per bulk call: few enough that the rows
 # held as lists stay small, enough that a 10k-row, two-column file parses
 # as fast as in one bulk call over every row
 _CHUNK_ROWS = 256
-
-
-class DataError(ValueError):
-    """Malformed or insufficient input data (files, rows, series)."""
 
 
 def _bad_observation(i: int, shown, number: bool) -> DataError:
@@ -146,7 +136,7 @@ def rolling_local_variance(z: TimeSeries, cfg: EnvelopeConfig, t_index: int | No
     equals the demeaned value plus L*mean^2/(L-1).
 
     The K windows are rows of one strided view of the last L+K-1
-    observations, reduced in chunks of at most ``_CHUNK_CELLS`` cells.
+    observations, reduced in chunks of at most ``_BLOCK_CELLS`` cells.
     Each row is reduced on its own, exactly as ``np.var(w, ddof=1)`` (or
     ``np.sum(w * w) / (L - 1)``) reduces a single window, so the values
     are the same bit for bit.
@@ -163,7 +153,7 @@ def rolling_local_variance(z: TimeSeries, cfg: EnvelopeConfig, t_index: int | No
         )
     # row j-1 is window j: reversing puts the window ending at t-1 first
     windows = sliding_window_view(np.asarray(z.values[t - need : t]), L)[::-1]
-    step = max(1, _CHUNK_CELLS // L)
+    step = max(1, _BLOCK_CELLS // L)
     out = []
     # a variance that overflows is inf or nan, which variance_envelope names,
     # so numpy's warning is not printed
@@ -175,16 +165,23 @@ def rolling_local_variance(z: TimeSeries, cfg: EnvelopeConfig, t_index: int | No
     return out
 
 
+def _bad_variance(i: int, shown, number: bool) -> ValueError:
+    what = "must be finite and >= 0, got" if number else "is not a number:"
+    return ValueError(f"local variance {i + 1} {what} {shown!r}")
+
+
 def variance_envelope(sigmas: Sequence[float]) -> VarianceEnvelope:
-    """Envelope (min, max) over a nonempty list of local variances."""
-    vals = [float(s) for s in sigmas]
+    """Envelope (min, max) over a nonempty list of local variances.
+
+    The first entry that is not a number or not finite is named, before
+    the first negative one."""
+    vals = _finite_floats(sigmas, _bad_variance)
     if not vals:
         raise ValueError("need at least one local variance")
-    for j, v in enumerate(vals, start=1):
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"local variance {j} must be finite and >= 0, got {v!r}")
-    per = tuple((j, v) for j, v in enumerate(vals, start=1))
-    return VarianceEnvelope(min(vals), max(vals), per)
+    for i, v in enumerate(vals):
+        if v < 0:
+            raise _bad_variance(i, v, True)
+    return VarianceEnvelope(min(vals), max(vals), tuple(enumerate(vals, start=1)))
 
 
 @dataclass(frozen=True)

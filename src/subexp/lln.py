@@ -36,6 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import SimulationError, _check_seed
 from .maximal import GridSpec, MaximalDist, eval_maximal, interval_distance
 from .scenarios import BoundedLipschitzFn, _evaluate
 
@@ -64,10 +65,6 @@ _MAX_DRAWS = 1 << 28
 # draws per chunk of the running-sum pass; with its carry slot the pair
 # buffer holds at most 2**16 complex entries (1 MiB), whatever n is
 _PAIR_CHUNK = (1 << 16) - 1
-
-
-class SimulationError(RuntimeError):
-    """A policy produced a mean outside the ambiguity interval."""
 
 
 def _square(x: float, what: str) -> float:
@@ -202,8 +199,7 @@ class SimConfig:
             raise ValueError(f"n must be >= 1, got {self.n!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.reps * self.n > _MAX_DRAWS:
             raise ValueError(
                 f"reps * n = {self.reps} * {self.n} = {self.reps * self.n} draws, over the limit of "

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _finite_floats, _shown
+from . import _BLOCK_CELLS, _finite_floats, _shown
 from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily, _evaluate
 
 __all__ = [
@@ -58,14 +58,6 @@ _MAX_GRID_NODES = 1 << 24
 # than this is rejected before f is called: at tens of millions of cells per
 # second, 2**30 cells already take about half a minute.
 _MAX_CELLS = 1 << 30
-# Grids are evaluated over at most this many cells at once: the nodes of a
-# one-dimensional scan (eval_maximal) and the cells of a product grid
-# (_grid_blocks).  One coordinate array of a block is then at most 64 KiB,
-# half of glibc's default mmap threshold, so every block reuses heap memory
-# malloc keeps.  With 2**16 cells (512 KiB arrays) whether a block's arrays
-# were mmapped and page-faulted afresh depended on the allocator's history,
-# and the max-of-5 composition on 15 nodes took anywhere from 17 to 60 ms.
-_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)

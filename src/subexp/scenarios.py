@@ -78,7 +78,7 @@ class BoundedLipschitzFn:
     bound : float, optional
         Sup-norm bound; ``math.inf`` declares the function unbounded.
     name : str, optional
-        Label used in reports and error messages.
+        A label for the caller; nothing in the library reads it.
 
     The declared constants are trusted by grid-based evaluators when they
     compute error certificates; tests spot-check them by randomized finite
@@ -308,13 +308,13 @@ def _expectations(family: ScenarioFamily, values: np.ndarray, members: np.ndarra
     return (num / den).astype(float)
 
 
-def _candidates(family: ScenarioFamily, values: np.ndarray) -> np.ndarray | None:
+def _candidates(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
     """Which (row, member) pairs may hold the largest expectation of all.
 
-    A boolean array shaped like ``_expectations(family, values)``, or None
-    when a float bound is not finite (sums near the float limit), in which
-    case the caller runs the full kernel.  Each member's mean is estimated as
-    fl(sum p) / m, with p = values * weights and m the float mass.  For k
+    A boolean array shaped like ``_expectations(family, values)``; every
+    pair is kept when a float bound is not finite (sums near the float
+    limit), so the caller runs the full kernel.  Each member's mean is
+    estimated as fl(sum p) / m, with p = values * weights and m the float mass.  For k
     atoms the estimate is within 2ku sum|p|/m + (k+1)eta/m of the exact
     mean, to first order in ku: product rounding and underflow, summation
     in any order, the rounded mass and the quotient (Higham, *Accuracy and
@@ -333,7 +333,7 @@ def _candidates(family: ScenarioFamily, values: np.ndarray) -> np.ndarray | None
         rad = scale * np.add.reduceat(np.abs(p), family._starts, axis=-1) + tiny
         lo, hi = est - rad, est + rad
         if not np.isfinite(hi - lo).all():
-            return None
+            return np.ones(est.shape, dtype=bool)
         best = lo.max()
         return hi >= best - 2.0 * np.spacing(abs(best))
 
@@ -345,7 +345,7 @@ def _sup(family: ScenarioFamily, values: np.ndarray) -> tuple[float, int]:
     members = None
     if values.size >= _PRUNE_MIN_CELLS:
         keep = _candidates(family, values)
-        if keep is not None and not keep.all():
+        if not keep.all():
             members = np.flatnonzero(keep)
     means = _expectations(family, values, members)
     i = int(np.argmax(means))
@@ -360,9 +360,9 @@ def _row_sups(family: ScenarioFamily, values: np.ndarray) -> np.ndarray:
     (on every member, without a gather, when all of them are candidates);
     the other rows get -inf, which a following maximum ignores.
     """
-    keep = _candidates(family, values) if values.size >= _PRUNE_MIN_CELLS else None
-    if keep is None:
+    if values.size < _PRUNE_MIN_CELLS:
         return _expectations(family, values).max(axis=-1)
+    keep = _candidates(family, values)
     rows = keep.any(axis=-1)
     cols = keep[rows].any(axis=0)
     members = None if cols.all() else np.flatnonzero(cols)

@@ -449,6 +449,44 @@ class TestEnvelope:
         assert len(lines) == 4
 
 
+class TestColumnsByName:
+    # --column and --timestamp-column take a header name as well as an index
+    WINDOWS = ["--window", "5", "--num-windows", "4"]
+
+    @pytest.fixture()
+    def tz_csv(self, tmp_path):
+        rng = np.random.default_rng(61)
+        p = tmp_path / "tz.csv"
+        p.write_text("t,z\n" + "".join(f"{t}.5,{float(v)!r}\n" for t, v in enumerate(rng.normal(size=40))))
+        return p
+
+    @pytest.fixture()
+    def series(self, tz_csv):
+        series = ingest_csv(str(tz_csv), ColumnSpec(value="z", timestamp="t"))
+        assert series.timestamps[:2] == (0.5, 1.5) and series.values[0] != 0.5
+        return series
+
+    def test_envelope(self, capsys, tz_csv, series):
+        argv = ["envelope", "--input", str(tz_csv), "--column", "z", "--timestamp-column", "t", *self.WINDOWS]
+        code, obj, err = run_json(capsys, argv)
+        assert code == 0 and err == ""
+        env = variance_envelope(rolling_local_variance(series, EnvelopeConfig(window=5, num_windows=4)))
+        assert obj["result"] == {**env.to_dict(), "L": 5, "K": 4, "demean": True}
+
+    def test_estimate(self, capsys, tz_csv, series):
+        code, obj, err = run_json(capsys, ["estimate", "--input", str(tz_csv), "--column", "z"])
+        assert code == 0 and err == ""
+        sample = SampleSet(series.values)
+        assert obj["result"] == mle_estimate(sample).to_dict(n=sample.n)
+
+    @pytest.mark.parametrize("command", ["estimate", "envelope"])
+    def test_a_missing_name_is_a_data_error(self, capsys, tz_csv, command):
+        argv = [command, "--input", str(tz_csv), "--column", "w", *(self.WINDOWS if command == "envelope" else [])]
+        code, out, err = run_text(capsys, argv)
+        assert code == 3 and out == ""
+        assert error_line(err) == {"error": {"code": 3, "message": "value column 'w' not found in header ['t', 'z']"}}
+
+
 class TestVerifyAxioms:
     def test_small_run_passes(self, capsys):
         code, obj, _ = run_json(capsys, ["verify-axioms", "--cases", "50"])
@@ -763,7 +801,8 @@ class TestImportBudget:
         count, distinct, same, homes, missing_from_dir = json.loads(out.stdout)
         assert count == distinct == 53
         assert same
-        assert homes == [f"subexp.{m}" for m in ("axioms", "envelope", "joint", "lln", "maximal", "mle", "scenarios")]
+        layers = ("axioms", "envelope", "joint", "lln", "maximal", "mle", "scenarios")
+        assert homes == ["subexp", *(f"subexp.{m}" for m in layers)]
         assert missing_from_dir == []
 
     def test_unknown_attribute_raises_attribute_error(self):
@@ -798,7 +837,7 @@ class TestImportBudget:
         assert subexp.mle_estimate is real
 
     def test_simulation_error_is_a_validation_error(self, capsys):
-        # SimulationError is a RuntimeError; main finds its class among the loaded modules
+        # SimulationError is a RuntimeError, which main catches as subexp.SimulationError
         code, _, err = run_text(capsys, ["lln", "--mu-lo=-1", "--mu-hi=2", "--fn", "square",
                                          "--policy", "constant:5", "--n-max", "10", "--reps", "2"])
         assert code == 2 and "outside" in error_line(err)["error"]["message"]

@@ -362,8 +362,8 @@ class TestChunkedWindows:
         for _ in range(40):
             L = int(rng.integers(2, 150))
             K = int(rng.integers(1, 120))
-            size = {"default": envelope._CHUNK_CELLS, "1": 1, "L": L, "3L+1": 3 * L + 1}[chunk]
-            monkeypatch.setattr(envelope, "_CHUNK_CELLS", size)
+            size = {"default": envelope._BLOCK_CELLS, "1": 1, "L": L, "3L+1": 3 * L + 1}[chunk]
+            monkeypatch.setattr(envelope, "_BLOCK_CELLS", size)
             n = L + K - 1 + int(rng.integers(0, 30))
             offset = float(rng.choice([0.0, 1e3, -1e6]))
             vals = (offset + 10.0 ** rng.uniform(-3, 5) * rng.standard_normal(n)).tolist()

@@ -165,7 +165,8 @@ class TestFilterDecisions:
             )
         )
         table = {p: top if p > 0.0 else -top for p in fam._points.tolist()}
-        assert _candidates(fam, _atom_values(fam, table.__getitem__)) is None
+        keep = _candidates(fam, _atom_values(fam, table.__getitem__))
+        assert keep.dtype == bool and keep.shape == (4,) and keep.all()
         calls = []
         kernel = scenarios._expectations
 

@@ -233,6 +233,34 @@ def test_endpoints_and_coordinates_are_stored_as_floats():
     assert subexp.point_capacity(j, ("0", np.float64(3.0)), 2) == subexp.point_capacity(j, (0.0, 3.0), 2)
 
 
+VAR = "local variance {} must be finite and >= 0, got {}"
+
+
+# variance_envelope takes the rule too: any entry that is not a finite
+# number is named before the first negative one
+@pytest.mark.parametrize(
+    "sigmas, message",
+    [
+        ([1.0, "x"], "local variance 2 is not a number: 'x'"),
+        ([None], "local variance 1 is not a number: None"),
+        ([1.0, inf], VAR.format(2, "inf")),
+        ([-0.5, nan], VAR.format(2, "nan")),
+        ([-0.5, 2.0, -1.0], VAR.format(1, "-0.5")),
+        ([0.5, BIG], VAR.format(2, BIG)),
+        (iter([0.5, "2", -2]), VAR.format(3, "-2.0")),
+    ],
+    ids=_short,
+)
+def test_variance_envelope_names_the_first_bad_variance(sigmas, message):
+    _raises(lambda: subexp.variance_envelope(sigmas), ValueError, message)
+
+
+def test_variances_are_stored_as_floats():
+    env = subexp.variance_envelope(iter(["0.5", 2, np.float64(-0.0)]))
+    assert repr(env.per_window) == "((1, 0.5), (2, 2.0), (3, -0.0))"
+    assert repr((env.sigma_lo_sq, env.sigma_hi_sq)) == "(-0.0, 2.0)"
+
+
 class TestFiniteFloats:
     """The shared rule itself, ``subexp._finite_floats``."""
 

@@ -684,6 +684,29 @@ class TestPairKernel:
             assert [row.estimate for row in rep.rows] == [1.0] * 9
 
 
+class TestChunkedDraws:
+    """The draws the simulation makes (uniform noise, two-point signs and a
+    random policy's means) are one stream each: taken in chunks from a
+    replication's generator they are the one call's draws bit for bit, so a
+    walk may draw its path a chunk at a time and keep every output."""
+
+    N = 100_003
+    DRAWS = {
+        "uniform": lambda rng, n: rng.uniform(-0.7, 0.7, n),
+        "integers": lambda rng, n: rng.integers(0, 2, n),
+        "choice": lambda rng, n: rng.choice(np.array([-1.0, 0.25, 0.5]), size=n),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_chunks_are_the_one_calls_draws(self, draw, chunk):
+        make = self.DRAWS[draw]
+        whole = make(lln._rep_rng(11, 3), self.N)
+        rng = lln._rep_rng(11, 3)
+        parts = np.concatenate([make(rng, min(chunk, self.N - i)) for i in range(0, self.N, chunk)])
+        assert parts.dtype == whole.dtype and parts.tobytes() == whole.tobytes()
+
+
 class TestAdversarialChunks:
     """``_adversarial_means`` reads the noise and writes the means one
     ``lln._PAIR_CHUNK`` at a time; the chunk size changes no mean and no

@@ -253,6 +253,26 @@ class TestRefineSoundness:
         assert res.value <= 0.0 <= res.value + res.error_bound
         assert 400.0 * 1e-11 < res.error_bound <= 400.0 * 0.25 / 2
 
+    @pytest.mark.parametrize("num", [2, 4])
+    @pytest.mark.parametrize("budget", [1, 2, 5, 14])
+    def test_the_budget_stops_the_split_doubling(self, monkeypatch, budget, num):
+        # one live cell after the scan, which a round would split into
+        # _REFINE_MAX_SPLIT parts had the budget not stopped the doubling of k
+        monkeypatch.setattr(maximal, "_REFINE_MAX_EVALS", budget)
+        d = MaximalDist(0.0, 3.0)
+        f, true_max = tents(d.mu_lo, d.mu_hi, 40.0, [(0.3, 1.0, 40.0)])
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return f.fn(x)
+
+        res = eval_maximal(d, BoundedLipschitzFn(counted, f.lipschitz), GridSpec(num=num, refine=True))
+        assert points[0] == num  # the grid scan
+        assert 0 < points[1] < maximal._REFINE_MAX_SPLIT - 1
+        assert sum(points[1:]) <= budget
+        assert res.value <= true_max <= res.value + res.error_bound
+
     @pytest.mark.parametrize("lo, hi, spec", [(0.0, 2.0, "abs:1.7e308"), (-0.0, 1.7e308, "identity")])
     def test_a_cell_whose_bound_is_inf_is_not_searched(self, lo, hi, spec):
         # the values at a cell's larger end overflow any sum with a value
