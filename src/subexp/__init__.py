@@ -13,12 +13,13 @@ imported from its defining module on first access (PEP 562), so a caller
 pays only for the layers it uses.  This module itself loads no layer and
 no numpy, and holds what several layers share: the error types
 :class:`DataError` and :class:`SimulationError` (so the CLI catches them
-without loading a layer), the grid block size ``_BLOCK_CELLS``, the seed
-check and the finite-entry rule ``_finite_floats``.
+without loading a layer), the grid block size ``_BLOCK_CELLS``, the
+integer rule ``_integer`` and the finite-entry rule ``_finite_floats``.
 """
 
 import importlib
 import math
+import operator
 
 __version__ = "0.1.0"
 
@@ -114,17 +115,20 @@ def _finite_floats(values, bad) -> tuple[float, ...]:
 
     The layers' containers share this rule, so it lives in the one module
     every command loads; it loads no layer and no numpy.  One bulk pass
-    converts and checks; only if it fails are the entries walked again, and
-    the first bad entry i raises ``bad(i, shown, number)``: ``number`` is
-    False when ``float()`` refuses the entry (``shown`` is the entry) and
-    True when it is not finite (``shown`` is its float, or the entry itself
-    for an int too large for a float).  An entry whose ``repr`` would raise
-    is shown through ``_shown``, so ``bad`` may format it with ``!r``.
+    converts, and the sum of the floats checks them: a sum with a
+    non-finite term is not finite, so only a sum that overflows on finite
+    terms needs an entry-by-entry test.  If either check fails the entries
+    are walked again, and the first bad entry i raises
+    ``bad(i, shown, number)``: ``number`` is False when ``float()`` refuses
+    the entry (``shown`` is the entry) and True when it is not finite
+    (``shown`` is its float, or the entry itself for an int too large for a
+    float).  An entry whose ``repr`` would raise is shown through
+    ``_shown``, so ``bad`` may format it with ``!r``.
     """
     values = tuple(values)  # the walk reads an iterator's entries again; a tuple is not copied
     try:
         floats = tuple(map(float, values))
-        if all(map(math.isfinite, floats)):
+        if math.isfinite(sum(floats)) or all(map(math.isfinite, floats)):
             return floats
     except (TypeError, ValueError, OverflowError):
         pass
@@ -139,10 +143,28 @@ def _finite_floats(values, bad) -> tuple[float, ...]:
             raise bad(i, f, True)
 
 
-def _check_seed(seed: int) -> None:
-    """The seed rule of ``lln.SimConfig`` and ``axioms.run_axiom_suite``."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as a Python int of at least ``least``: the one rule for the
+    counts, seeds and column indices of every layer.
+
+    What ``operator.index`` takes (an int or a numpy integer) is accepted,
+    and so is a float with no fractional part; a bool is not.  Anything
+    else raises ``ValueError("{what} must be an integer, got ...")``, and a
+    smaller value ``ValueError("{what} must be >= {least}, got ...")``,
+    each showing ``value`` as given, through ``_shown``.
+    """
+    n = None
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                n = int(value)
+    if n is None:
+        raise ValueError(f"{what} must be an integer, got {_shown(value)!r}")
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {_shown(value)!r}")
+    return n
 
 
 def _unreadable(what: str, path: str, exc: Exception) -> str:

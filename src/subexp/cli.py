@@ -199,7 +199,7 @@ def _parse_schedule(text: str) -> list[int]:
         vals = sorted({int(v) for v in text.split(",")})
     except ValueError:
         raise CliError(EXIT_VALIDATION, f"bad schedule {text!r}, expected comma-separated integers")
-    if not vals or vals[0] < 1:
+    if vals[0] < 1:  # split() gives at least one entry, and int("") raises
         raise CliError(EXIT_VALIDATION, f"schedule entries must be >= 1, got {text!r}")
     return vals
 

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _BLOCK_CELLS, DataError, _finite_floats, _shown, _unreadable
+from . import _BLOCK_CELLS, DataError, _finite_floats, _integer, _unreadable
 
 __all__ = [
     "DataError",
@@ -56,6 +56,10 @@ def _bad_observation(i: int, shown, number: bool) -> DataError:
     return DataError(f"observation {i} is not a number: {shown!r}")
 
 
+def _bad_timestamp(i: int, shown, number: bool) -> DataError:
+    return DataError(f"timestamp {i} is not {'finite' if number else 'a number'}: {shown!r}")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Finite real observations, optionally with finite, strictly increasing timestamps."""
@@ -69,28 +73,17 @@ class TimeSeries:
         vals = _finite_floats(self.values, _bad_observation)
         object.__setattr__(self, "values", vals)
         if self.timestamps is not None:
-            stamps = tuple(self.timestamps)  # the walk reads an iterator's entries again
-            try:
-                ts = tuple(map(float, stamps))
-            except (TypeError, ValueError, OverflowError):
-                for i, v in enumerate(stamps):  # name the first bad entry
-                    try:
-                        float(v)
-                    except (TypeError, ValueError, OverflowError):
-                        raise DataError(f"timestamp {i} is not a number: {_shown(v)!r}") from None
+            ts = _finite_floats(self.timestamps, _bad_timestamp)
             if len(ts) != len(vals):
                 raise DataError(f"{len(ts)} timestamps for {len(vals)} values")
             arr = np.asarray(ts)
-            bad = np.flatnonzero(~(arr[1:] > arr[:-1]))  # a nan compares false as well
+            bad = np.flatnonzero(~(arr[1:] > arr[:-1]))
             if bad.size:
                 i = int(bad[0]) + 1
                 raise DataError(
                     f"timestamps must be strictly increasing; entry {i} ({ts[i]!r}) "
                     f"does not exceed entry {i - 1} ({ts[i - 1]!r})"
                 )
-            for i in (0, len(ts) - 1):  # strictly increasing: only the ends can be infinite
-                if not math.isfinite(ts[i]):
-                    raise DataError(f"timestamp {i} is not finite: {ts[i]!r}")
             object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
@@ -106,10 +99,8 @@ class EnvelopeConfig:
     demean: bool = True
 
     def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError(f"window length must be >= 2, got {self.window!r}")
-        if self.num_windows < 1:
-            raise ValueError(f"num_windows must be >= 1, got {self.num_windows!r}")
+        object.__setattr__(self, "window", _integer(self.window, "window length", 2))
+        object.__setattr__(self, "num_windows", _integer(self.num_windows, "num_windows", 1))
 
 
 @dataclass(frozen=True)
@@ -198,9 +189,10 @@ class ColumnSpec:
     header: bool | None = None
 
     def __post_init__(self) -> None:
-        for what, col in (("value", self.value), ("timestamp", self.timestamp)):
-            if isinstance(col, int) and col < 0:
-                raise ValueError(f"{what} column index must be >= 0 (0-based), got {col!r}")
+        if not isinstance(self.value, str):
+            object.__setattr__(self, "value", _integer(self.value, "value column index", 0))
+        if not isinstance(self.timestamp, (str, type(None))):
+            object.__setattr__(self, "timestamp", _integer(self.timestamp, "timestamp column index", 0))
 
     def needs_header(self) -> bool:
         by_name = isinstance(self.value, str) or isinstance(self.timestamp, str)
@@ -218,7 +210,7 @@ def _resolve(col: int | str, names: list[str] | None, what: str) -> int:
             return names.index(col)
         except ValueError:
             raise DataError(f"{what} column {col!r} not found in header {names!r}") from None
-    return int(col)
+    return col
 
 
 def _cell(row: list[str], idx: int, row_no: int, what: str) -> float:

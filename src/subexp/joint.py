@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import _finite_floats
+from . import _finite_floats, _integer
 from .maximal import _BLOCK_CELLS, GridSpec, MaximalDist, _certificate, _grid_blocks, interval_distance
 from .scenarios import BoundedLipschitzFn, ScenarioFamily, _check_constants, _evaluate, _expectations, _row_sups
 
@@ -59,8 +59,7 @@ class BoundedLipschitzFnN:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity!r}")
+        object.__setattr__(self, "arity", _integer(self.arity, "arity", 1))
         _check_constants(self.lipschitz, self.bound)
 
     def __call__(self, *xs: float) -> float:
@@ -189,13 +188,7 @@ def indicator_approx(x_star: float, k: int) -> BoundedLipschitzFn:
     Lipschitz constant k and bound 1, and decreases pointwise to the
     indicator as k grows.
     """
-    try:
-        whole = int(k)
-    except (OverflowError, ValueError):  # inf or nan
-        whole = 0
-    if whole != k or whole < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    k = whole
+    k = _integer(k, "k", 1)
     xs = float(x_star)
     return BoundedLipschitzFn(
         fn=lambda x: 1.0 / (1.0 + k * abs(x - xs)),
@@ -222,8 +215,7 @@ def point_capacity(j: JointSpec, points: Sequence[float], k_max: int) -> PointCa
     k toward ``value`` and serves as a diagnostic; ``value`` is the limit.
     A coordinate that is not a finite number raises ValueError naming it.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max!r}")
+    k_max = _integer(k_max, "k_max", 1)
     if len(points) != len(j.marginals):
         raise ValueError(f"{len(points)} coordinates for {len(j.marginals)} marginals")
     xs = _finite_floats(points, lambda i, x, _number: ValueError(f"coordinate {i} of the point is not finite: {x!r}"))

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import SimulationError, _check_seed
+from . import SimulationError, _integer
 from .maximal import GridSpec, MaximalDist, eval_maximal, interval_distance
 from .scenarios import BoundedLipschitzFn, _evaluate
 
@@ -80,8 +80,9 @@ def _square(x: float, what: str) -> float:
 class NoiseSpec:
     """Mean-zero observation noise.
 
-    kinds: "none", "uniform" (uniform on [-a, a]), "two_point" (+-a with
-    equal probability).  ``second_moment`` is exact: 0, a^2/3, a^2.
+    kinds: "none" (half-width 0), "uniform" (uniform on [-a, a]),
+    "two_point" (+-a with equal probability).  ``second_moment`` is exact:
+    0, a^2/3, a^2.
     """
 
     kind: str
@@ -90,7 +91,10 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "uniform", "two_point"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind != "none" and not (self.half_width > 0):
+        if self.kind == "none":
+            if self.half_width != 0:  # rate_check reads the half-width into its row range
+                raise ValueError(f"none noise takes no half-width, got {self.half_width!r}")
+        elif not (self.half_width > 0):
             raise ValueError(f"noise half-width must be positive, got {self.half_width!r}")
         # numpy draws uniform(-a, a) through high - low = 2a, which must be finite
         limit = sys.float_info.max / 2 if self.kind == "uniform" else sys.float_info.max
@@ -195,11 +199,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps!r}")
-        _check_seed(self.seed)
+        for name, least in (("n", 1), ("reps", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         if self.reps * self.n > _MAX_DRAWS:
             raise ValueError(
                 f"reps * n = {self.reps} * {self.n} = {self.reps * self.n} draws, over the limit of "
@@ -310,8 +311,7 @@ def simulate_path(d: MaximalDist, policy: MeanPolicy, noise: NoiseSpec, cfg: Sim
 
 def log_schedule(n_max: int, num: int = 10) -> list[int]:
     """Distinct integer sample sizes, roughly log-spaced, ending at n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
+    n_max = _integer(n_max, "n_max", 1)
     raw = np.geomspace(1, n_max, num=num)
     return sorted({int(round(v)) for v in raw} | {n_max})
 
@@ -435,12 +435,9 @@ def _mean_and_stderr(
 def _checked_schedule(policies: Sequence[MeanPolicy], cfg: SimConfig, n_schedule: Sequence[int]) -> list[int]:
     if not policies:
         raise ValueError("need at least one policy")
-    schedule = list(n_schedule)
+    schedule = [_integer(n, "n_schedule entry", 1) for n in n_schedule]
     if not schedule:
         raise ValueError("n_schedule must be nonempty")
-    for n in schedule:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_schedule entries must be integers >= 1, got {n!r}")
     if max(schedule) > cfg.n:
         raise ValueError(f"schedule reaches n={max(schedule)} beyond cfg.n={cfg.n}")
     return schedule

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _BLOCK_CELLS, _finite_floats, _shown
+from . import _BLOCK_CELLS, _finite_floats, _integer, _shown
 from .scenarios import BoundedLipschitzFn, DiscreteMeasure, ScenarioFamily, _evaluate
 
 __all__ = [
@@ -131,8 +131,8 @@ class GridSpec:
             raise ValueError("specify exactly one of step or num")
         if self.step is not None and not (self.step > 0):
             raise ValueError(f"step must be positive, got {self.step!r}")
-        if self.num is not None and self.num < 1:
-            raise ValueError(f"num must be >= 1, got {self.num!r}")
+        if self.num is not None:
+            object.__setattr__(self, "num", _integer(self.num, "num", 1))
 
     def nodes(self, d: MaximalDist) -> int:
         """Node count of the grid over d's interval, checked against
@@ -142,7 +142,7 @@ class GridSpec:
         if not math.isfinite(d.width):  # no step or node count helps; linspace would return nan nodes
             raise ValueError(f"interval [{d.mu_lo!r}, {d.mu_hi!r}] is too wide: its width overflows to inf")
         if self.num is not None:
-            if self.num < 2:
+            if self.num == 1:
                 raise ValueError("num must be >= 2 on a nondegenerate interval")
             n = self.num
         else:
@@ -398,9 +398,8 @@ def dirac_family(d: MaximalDist, n_atoms: int) -> ScenarioFamily:
     coincide bit-for-bit with the grid scan of :func:`eval_maximal` on a
     grid with the same node count.
     """
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms!r}")
-    if n_atoms < 2 and not d.degenerate:
+    n_atoms = _integer(n_atoms, "n_atoms", 1)
+    if n_atoms == 1 and not d.degenerate:
         raise ValueError("n_atoms must be >= 2 on a nondegenerate interval")
     pts = GridSpec(num=n_atoms).points(d)
     return ScenarioFamily(tuple(DiscreteMeasure.dirac(float(p)) for p in pts))

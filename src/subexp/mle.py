@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import _finite_floats
+from . import _finite_floats, _integer
 
 if TYPE_CHECKING:
     from .maximal import MaximalDist
@@ -143,8 +143,7 @@ def unbiasedness_check(d: MaximalDist, n: int, atoms_per_axis: int) -> Unbiasedn
     from .joint import BoundedLipschitzFnN, JointSpec, compose_independent
     from .maximal import GridSpec
 
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    n = _integer(n, "n", 1)
     grid = GridSpec(num=atoms_per_axis)
     f_max = BoundedLipschitzFnN(
         fn=lambda *xs: np.maximum.reduce(list(xs)),

@@ -44,6 +44,8 @@ def _raises(call, exc_type, message):
          "n_atoms must be >= 2 on a nondegenerate interval"),
         (lambda: subexp.SimConfig(n=1, reps=1, seed=-1), ValueError, "seed must be >= 0, got -1"),
         (lambda: subexp.run_axiom_suite(cases=1, seed=-1), ValueError, "seed must be >= 0, got -1"),
+        (lambda: subexp.NoiseSpec("none", 5.0), ValueError, "none noise takes no half-width, got 5.0"),
+        (lambda: subexp.NoiseSpec("none", -1.0), ValueError, "none noise takes no half-width, got -1.0"),
     ],
 )
 def test_rejected_arguments(call, exc_type, message):
@@ -52,7 +54,7 @@ def test_rejected_arguments(call, exc_type, message):
 
 @pytest.mark.parametrize("k", [2.5, 0.5, float("inf"), float("nan")])
 def test_indicator_k_must_be_a_positive_integer(k):
-    _raises(lambda: subexp.indicator_approx(0.0, k), ValueError, f"k must be a positive integer, got {k!r}")
+    _raises(lambda: subexp.indicator_approx(0.0, k), ValueError, f"k must be an integer, got {k!r}")
 
 
 @pytest.mark.parametrize("k", [3, 3.0, np.int64(3)])
@@ -118,7 +120,7 @@ def test_a_malformed_atom_is_named(call, message):
         (lambda: subexp.SampleSet((1.0, BIG)), ValueError, f"observation 1 is not finite: {BIG}"),
         (lambda: subexp.TimeSeries((1.0, BIG)), DataError,
          f"observation 1 is not finite: {BIG}; missing values are not imputed"),
-        (lambda: subexp.TimeSeries((1.0, 2.0), (0, BIG)), DataError, f"timestamp 1 is not a number: {BIG}"),
+        (lambda: subexp.TimeSeries((1.0, 2.0), (0, BIG)), DataError, f"timestamp 1 is not finite: {BIG}"),
         (lambda: subexp.MaximalDist(0, BIG), ValueError, f"interval endpoints must be finite, got [0, {BIG}]"),
         (lambda: subexp.MaximalDist(-BIG, 0.0), ValueError, f"interval endpoints must be finite, got [{-BIG}, 0.0]"),
     ],

@@ -93,12 +93,10 @@ def _raises(call, exc_type, message):
         (lambda: TS(("x", inf)), DataError, "observation 0 is not a number: 'x'"),
         (lambda: TS((inf, "x")), DataError, "observation 0 is not finite: inf" + NOT_IMPUTED),
         (lambda: TS((1.0, nan), (0.0, 0.0)), DataError, "observation 1 is not finite: nan" + NOT_IMPUTED),
-        (lambda: TS((1.0, 2.0), (0, BIG)), DataError, f"timestamp 1 is not a number: {BIG}"),
+        (lambda: TS((1.0, 2.0), (0, BIG)), DataError, f"timestamp 1 is not finite: {BIG}"),
         (lambda: TS((1.0, 2.0), ("a", "b")), DataError, "timestamp 0 is not a number: 'a'"),
-        (lambda: TS((1.0, 2.0), (0.0, nan)), DataError,
-         "timestamps must be strictly increasing; entry 1 (nan) does not exceed entry 0 (0.0)"),
-        (lambda: TS((1.0, 2.0), (nan, 0.0)), DataError,
-         "timestamps must be strictly increasing; entry 1 (0.0) does not exceed entry 0 (nan)"),
+        (lambda: TS((1.0, 2.0), (0.0, nan)), DataError, "timestamp 1 is not finite: nan"),
+        (lambda: TS((1.0, 2.0), (nan, 0.0)), DataError, "timestamp 0 is not finite: nan"),
         (lambda: TS((1.0, 2.0), (1.0, 0.0)), DataError,
          "timestamps must be strictly increasing; entry 1 (0.0) does not exceed entry 0 (1.0)"),
         (lambda: TS((1.0, 2.0), (0.0,)), DataError, "1 timestamps for 2 values"),
@@ -119,7 +117,7 @@ def test_a_bad_entry_keeps_its_message(call, exc_type, message):
         (lambda: SS([HUGE]), ValueError, f"observation 0 is not finite: {HUGE_SHOWN}"),
         (lambda: SS([[HUGE]]), ValueError, "observation 0 is not a number: <unprintable list>"),
         (lambda: TS((1.0, HUGE)), DataError, f"observation 1 is not finite: {HUGE_SHOWN}" + NOT_IMPUTED),
-        (lambda: TS((1.0, 2.0), (0, HUGE)), DataError, f"timestamp 1 is not a number: {HUGE_SHOWN}"),
+        (lambda: TS((1.0, 2.0), (0, HUGE)), DataError, f"timestamp 1 is not finite: {HUGE_SHOWN}"),
         (lambda: subexp.MaximalDist(0, HUGE), ValueError, f"interval endpoints must be finite, got [0, {HUGE_SHOWN}]"),
     ],
     ids=_short,
@@ -299,3 +297,32 @@ class TestFiniteFloats:
         (got,) = self._named(values)
         assert got[0] == call[0] and got[2] is call[2]
         assert repr(got[1]) == repr(call[1]) and type(got[1]) is type(call[1])
+
+
+# the rule checks a bulk conversion by its sum; a sum of finite entries that
+# overflows falls back to testing each entry
+def test_finite_entries_whose_sum_overflows_are_kept():
+    from subexp import _finite_floats
+
+    def bad(i, shown, number):
+        return ValueError(i, shown, number)
+
+    assert _finite_floats((1e308, 1e308, -1e308), bad) == (1e308, 1e308, -1e308)
+    assert SS((1e308, 1e308)).max == 1e308
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ((inf, -inf), (0, inf, True)),  # the sum is nan
+        ((1e308, 1e308, nan), (2, nan, True)),
+        ((1e308, 1e308, "x", inf), (2, "x", False)),
+        ((1.0, -inf, 1e308, 1e308), (1, -inf, True)),
+    ],
+)
+def test_the_first_bad_entry_is_named_whatever_the_sum(values, named):
+    from subexp import _finite_floats
+
+    with pytest.raises(ValueError) as info:
+        _finite_floats(values, lambda i, shown, number: ValueError(i, shown, number))
+    assert repr(info.value.args) == repr(named)  # repr: nan != nan
