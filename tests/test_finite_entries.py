@@ -282,6 +282,14 @@ class TestFiniteFloats:
         assert got == (1.5, 2.0, -3.0, 1.0) and type(got) is tuple
         assert {type(x) for x in got} == {float}
 
+    def test_finite_entries_whose_sum_overflows_come_back(self):
+        # the sum checks the bulk conversion; one that overflows on finite
+        # entries falls back to testing each entry
+        def bad(*args):
+            raise AssertionError(args)
+
+        assert subexp._finite_floats((1e308, 1e308, -1e308), bad) == (1e308, 1e308, -1e308)
+
     @pytest.mark.parametrize(
         "values, call",
         [
@@ -291,6 +299,11 @@ class TestFiniteFloats:
             ([2.0, np.float64("-inf")], (1, -inf, True)),
             ([0.0, BIG, "x"], (1, BIG, True)),
             ([0.0, HUGE, "x"], (1, subexp._Unprintable(HUGE), True)),
+            # whatever the sum of the floats: nan, inf after an overflow, finite
+            ([inf, -inf], (0, inf, True)),
+            ([1e308, 1e308, nan], (2, nan, True)),
+            ([1e308, 1e308, "x", inf], (2, "x", False)),
+            ([1.0, -inf, 1e308, 1e308], (1, -inf, True)),
         ],
     )
     def test_only_the_first_bad_entry_is_named(self, values, call):
@@ -298,31 +311,3 @@ class TestFiniteFloats:
         assert got[0] == call[0] and got[2] is call[2]
         assert repr(got[1]) == repr(call[1]) and type(got[1]) is type(call[1])
 
-
-# the rule checks a bulk conversion by its sum; a sum of finite entries that
-# overflows falls back to testing each entry
-def test_finite_entries_whose_sum_overflows_are_kept():
-    from subexp import _finite_floats
-
-    def bad(i, shown, number):
-        return ValueError(i, shown, number)
-
-    assert _finite_floats((1e308, 1e308, -1e308), bad) == (1e308, 1e308, -1e308)
-    assert SS((1e308, 1e308)).max == 1e308
-
-
-@pytest.mark.parametrize(
-    "values, named",
-    [
-        ((inf, -inf), (0, inf, True)),  # the sum is nan
-        ((1e308, 1e308, nan), (2, nan, True)),
-        ((1e308, 1e308, "x", inf), (2, "x", False)),
-        ((1.0, -inf, 1e308, 1e308), (1, -inf, True)),
-    ],
-)
-def test_the_first_bad_entry_is_named_whatever_the_sum(values, named):
-    from subexp import _finite_floats
-
-    with pytest.raises(ValueError) as info:
-        _finite_floats(values, lambda i, shown, number: ValueError(i, shown, number))
-    assert repr(info.value.args) == repr(named)  # repr: nan != nan
